@@ -23,14 +23,16 @@ class CacheConfig:
         size_bytes: total capacity in bytes.
         associativity: number of ways.
         latency: hit latency in cycles.
-        mshr_entries: number of outstanding misses supported.
+
+    Every level uses LRU replacement, as in the paper's baseline.  Miss
+    timing is folded into the hit latencies and the DRAM model, so there is
+    no MSHR capacity to configure.
     """
 
     name: str
     size_bytes: int
     associativity: int
     latency: int
-    mshr_entries: int
 
     @property
     def num_sets(self) -> int:
@@ -38,6 +40,11 @@ class CacheConfig:
         return self.size_bytes // (self.associativity * BLOCK_SIZE)
 
     def __post_init__(self) -> None:
+        if self.associativity <= 0:
+            raise ValueError(
+                f"{self.name}: associativity must be positive,"
+                f" got {self.associativity}"
+            )
         if self.size_bytes % (self.associativity * BLOCK_SIZE) != 0:
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} is not a multiple of "
@@ -91,13 +98,13 @@ class SystemConfig:
 
     core: CoreConfig = field(default_factory=CoreConfig)
     l1d: CacheConfig = field(
-        default_factory=lambda: CacheConfig("L1D", 32 * 1024, 8, 4, 10)
+        default_factory=lambda: CacheConfig("L1D", 32 * 1024, 8, 4)
     )
     l2c: CacheConfig = field(
-        default_factory=lambda: CacheConfig("L2C", 1024 * 1024, 16, 10, 16)
+        default_factory=lambda: CacheConfig("L2C", 1024 * 1024, 16, 10)
     )
     llc: CacheConfig = field(
-        default_factory=lambda: CacheConfig("LLC", 1408 * 1024, 11, 36, 64)
+        default_factory=lambda: CacheConfig("LLC", 1408 * 1024, 11, 36)
     )
     dram: DRAMConfig = field(default_factory=DRAMConfig)
     num_cores: int = 1

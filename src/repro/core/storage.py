@@ -84,7 +84,7 @@ class StorageBreakdown:
 def tlp_storage_breakdown(
     tlp: TwoLevelPerceptron | None = None,
     load_queue_entries: int = DEFAULT_LOAD_QUEUE_ENTRIES,
-    mshr_entries: int = DEFAULT_L1D_MSHR_ENTRIES,
+    l1d_mshrs: int = DEFAULT_L1D_MSHR_ENTRIES,
 ) -> StorageBreakdown:
     """Compute the Table II storage breakdown for a TLP instance."""
     instance = tlp if tlp is not None else TwoLevelPerceptron()
@@ -94,7 +94,7 @@ def tlp_storage_breakdown(
     slp_weights = instance.slp.perceptron.storage_bits() * bits_to_kib
     slp_pages = instance.slp.history.storage_bits() * bits_to_kib
     lq_metadata = load_queue_entries * LOAD_QUEUE_METADATA_BITS * bits_to_kib
-    mshr_metadata = mshr_entries * MSHR_METADATA_BITS * bits_to_kib
+    mshr_metadata = l1d_mshrs * MSHR_METADATA_BITS * bits_to_kib
     return StorageBreakdown(
         flp_weight_tables=flp_weights,
         flp_page_buffer=flp_pages,

@@ -1,11 +1,9 @@
-"""Memory hierarchy substrate: caches, MSHRs, DRAM and the composed hierarchy."""
+"""Memory hierarchy substrate: LRU caches, DRAM and the composed hierarchy."""
 
 from repro.memory.cache import Cache, CacheStats
 from repro.memory.dram import DRAMModel
 from repro.memory.hierarchy import MemoryHierarchy, PrefetchRecord
-from repro.memory.mshr import MSHR
 from repro.memory.paging import PageTable
-from repro.memory.replacement import LRUPolicy, ReplacementPolicy
 
 __all__ = [
     "Cache",
@@ -13,8 +11,5 @@ __all__ = [
     "DRAMModel",
     "MemoryHierarchy",
     "PrefetchRecord",
-    "MSHR",
     "PageTable",
-    "LRUPolicy",
-    "ReplacementPolicy",
 ]

@@ -11,12 +11,11 @@ demand access before being evicted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.common.config import CacheConfig
-from repro.memory.mshr import MSHR
-from repro.memory.replacement import ReplacementPolicy, make_policy
 
 
 @dataclass(slots=True)
@@ -80,7 +79,13 @@ class EvictionInfo:
 
 
 class Cache:
-    """A set-associative, write-back cache with LRU replacement by default.
+    """A set-associative, write-back cache with LRU replacement (Table III).
+
+    Each set is one :class:`~collections.OrderedDict` mapping block address
+    to :class:`CacheBlock` in recency order, least recently used first: a
+    demand hit moves the block to the end, a fill appends it, and a full
+    set evicts its first key.  A fill of an already-resident block leaves
+    the order untouched.
 
     Addresses handled by the cache are *block addresses* (byte address
     shifted right by 6); callers are responsible for the conversion, which
@@ -90,7 +95,6 @@ class Cache:
     def __init__(
         self,
         config: CacheConfig,
-        replacement: str = "lru",
         eviction_listener: Optional[Callable[[EvictionInfo], None]] = None,
     ) -> None:
         self.config = config
@@ -98,24 +102,9 @@ class Cache:
         self.num_sets = config.num_sets
         self.associativity = config.associativity
         self.latency = config.latency
-        self._sets: list[dict[int, CacheBlock]] = [
-            {} for _ in range(self.num_sets)
+        self._sets: list[OrderedDict[int, CacheBlock]] = [
+            OrderedDict() for _ in range(self.num_sets)
         ]
-        self._policies: list[ReplacementPolicy] = [
-            make_policy(replacement, self.associativity)
-            for _ in range(self.num_sets)
-        ]
-        # way assignment per set: block_addr -> way index, plus the reverse
-        # map way -> block_addr so victim resolution is O(1) instead of a
-        # linear scan over the set.
-        self._ways: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
-        self._way_contents: list[list[Optional[int]]] = [
-            [None] * self.associativity for _ in range(self.num_sets)
-        ]
-        self._free_ways: list[list[int]] = [
-            list(range(self.associativity)) for _ in range(self.num_sets)
-        ]
-        self.mshr = MSHR(config.mshr_entries)
         self.stats = CacheStats()
         self._eviction_listener = eviction_listener
 
@@ -164,8 +153,7 @@ class Cache:
             stats.prefetch_hits += 1
         if is_write:
             block.dirty = True
-        way = self._ways[set_idx][block_addr]
-        self._policies[set_idx].on_hit(way)
+        self._sets[set_idx].move_to_end(block_addr)
         return True
 
     def probe_prefetch(self, block_addr: int) -> bool:
@@ -189,7 +177,8 @@ class Cache:
 
         ``ready_cycle`` is when the data actually arrives (defaults to
         ``cycle``, i.e. immediately).  Returns information about the evicted
-        block (or None if a way was free or the block was already resident).
+        block (or None if the set had room or the block was already
+        resident).
         """
         if ready_cycle is None:
             ready_cycle = cycle
@@ -208,13 +197,8 @@ class Cache:
             return None
 
         eviction: Optional[EvictionInfo] = None
-        free_ways = self._free_ways[set_idx]
-        if not free_ways:
-            victim_way = self._policies[set_idx].victim()
-            victim_addr = self._way_contents[set_idx][victim_way]
-            if victim_addr is not None:
-                eviction = self._evict(set_idx, victim_addr)
-        way = free_ways.pop()
+        if len(cache_set) >= self.associativity:
+            eviction = self._evicted(cache_set.popitem(last=False)[1])
 
         block = CacheBlock(
             block_addr=block_addr,
@@ -225,9 +209,6 @@ class Cache:
             ready_cycle=ready_cycle,
         )
         cache_set[block_addr] = block
-        self._ways[set_idx][block_addr] = way
-        self._way_contents[set_idx][way] = block_addr
-        self._policies[set_idx].on_fill(way)
         if prefetched:
             self.stats.prefetch_fills += 1
         else:
@@ -236,23 +217,17 @@ class Cache:
 
     def invalidate(self, block_addr: int) -> bool:
         """Remove a block (used for coherence-like invalidations in tests)."""
-        set_idx = self.set_index(block_addr)
-        if block_addr not in self._sets[set_idx]:
+        block = self._sets[self.set_index(block_addr)].pop(block_addr, None)
+        if block is None:
             return False
-        self._evict(set_idx, block_addr)
+        self._evicted(block)
         return True
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _addr_in_way(self, set_idx: int, way: int) -> Optional[int]:
-        return self._way_contents[set_idx][way]
-
-    def _evict(self, set_idx: int, block_addr: int) -> EvictionInfo:
-        block = self._sets[set_idx].pop(block_addr)
-        way = self._ways[set_idx].pop(block_addr)
-        self._way_contents[set_idx][way] = None
-        self._free_ways[set_idx].append(way)
+    def _evicted(self, block: CacheBlock) -> EvictionInfo:
+        """Account for ``block`` having left its set; notify the listener."""
         self.stats.evictions += 1
         if block.dirty:
             self.stats.writebacks += 1
@@ -262,7 +237,7 @@ class Cache:
             else:
                 self.stats.useless_prefetch_evictions += 1
         info = EvictionInfo(
-            block_addr=block_addr,
+            block_addr=block.block_addr,
             was_prefetched=block.prefetched,
             prefetch_was_useful=block.prefetch_useful,
             was_dirty=block.dirty,

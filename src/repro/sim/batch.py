@@ -20,11 +20,11 @@ This module restructures the hot path around trace *chunks*:
    (weights *do*, so weight sums stay in the serialized loop below).
 
 2. **Fused serialized loop** -- the stateful remainder (core dispatch/ROB
-   timing, page translation, the L1D->L2C->LLC->DRAM walk with per-set LRU
-   updates, speculative DRAM requests, perceptron weight sums and
+   timing, page translation, the L1D->L2C->LLC->DRAM walk with per-set
+   recency updates, speculative DRAM requests, perceptron weight sums and
    saturating training) runs in one Python loop with the per-record bodies
    of ``CoreRunner.step_values``, ``MemoryHierarchy.demand_access``,
-   ``MemoryHierarchy._walk_below_l1d``, ``Cache.lookup``, ``LRUPolicy``,
+   ``MemoryHierarchy._walk_below_l1d``, ``Cache.lookup``,
    ``DRAMModel.access`` and ``HashedPerceptron.predict``/``train`` inlined
    over the precomputed index columns.  Pure counters accumulate in locals
    and flush once per chunk.  The prefetch machinery is fused too: the
@@ -33,7 +33,7 @@ This module restructures the hot path around trace *chunks*:
    plus a thin order-dependent step -- and the loop drives SPP lookahead
    walks (``SPPPrefetcher.step``), PPF and SLP filter consults/training
    (``consult_step``/``train_step``) and cache fills (via
-   :func:`_make_inline_fill`, a positional ``Cache.fill`` + LRU clone)
+   :func:`_make_inline_fill`, a positional ``Cache.fill`` clone)
    without crossing the per-request object boundary.  The object
    implementations stay the pinned bit-identical reference; unrecognised
    prefetcher/filter combinations keep the object-call path inside the
@@ -41,9 +41,9 @@ This module restructures the hot path around trace *chunks*:
 
 3. **Chunk scheduler with scalar fallback** -- chunks only run fused when
    every component is one the fused loop models exactly (stock
-   :class:`MemoryHierarchy`/:class:`Cache` with LRU sets, and a Null /
-   Hermes / FLP off-chip predictor over the Table I feature set).
-   Anything else -- custom subclasses, SRRIP, exotic predictors, and the
+   :class:`MemoryHierarchy`/:class:`Cache`, and a Null / Hermes / FLP
+   off-chip predictor over the Table I feature set).
+   Anything else -- custom subclasses, exotic predictors, and the
    per-instruction multi-core interleave -- drops to the pinned scalar
    reference path; :func:`batch_unsupported_reason` names the offending
    component, which is logged once per process and emitted as a
@@ -51,8 +51,8 @@ This module restructures the hot path around trace *chunks*:
 
 The batch core is selected with ``SystemConfig(sim_core="batch")`` /
 ``--core batch`` and is bit-identical to the scalar path by construction:
-every counter, weight, stamp and cycle is updated in the same order with
-the same arithmetic, which the batch-vs-scalar equivalence suite pins.
+every counter, weight, recency order and cycle is updated in the same order
+with the same arithmetic, which the batch-vs-scalar equivalence suite pins.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from repro.core.slp import SecondLevelPerceptron
 from repro.cpu.core import CoreRunner
 from repro.memory.cache import Cache, CacheBlock, EvictionInfo
 from repro.memory.hierarchy import MemoryHierarchy, PrefetchRecord
-from repro.memory.replacement import LRUPolicy
 from repro.obs import tracer as obs_tracer
 from repro.predictors.base import NullOffChipPredictor
 from repro.predictors.hermes import HermesPredictor
@@ -100,13 +99,6 @@ _PK_HERMES = 1
 _PK_FLP = 2
 
 
-def _cache_is_fusible(cache: Cache) -> bool:
-    """The fused loop inlines Cache.lookup + LRU; require the stock shapes."""
-    return type(cache) is Cache and all(
-        type(policy) is LRUPolicy for policy in cache._policies
-    )
-
-
 def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
     """Why ``hierarchy`` cannot run fused, or None when it can.
 
@@ -116,14 +108,13 @@ def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
     """
     if type(hierarchy) is not MemoryHierarchy:
         return f"hierarchy subclass {type(hierarchy).__name__}"
+    # The fused loop inlines Cache.lookup/fill: require the stock class.
     for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
-        if not _cache_is_fusible(cache):
-            detail = (
-                type(cache).__name__
-                if type(cache) is not Cache
-                else "non-LRU replacement policy"
+        if type(cache) is not Cache:
+            return (
+                f"{cache.name}: unmodelled cache shape"
+                f" ({type(cache).__name__})"
             )
-            return f"{cache.name}: unmodelled cache shape ({detail})"
     predictor = hierarchy.offchip_predictor
     if type(predictor) is NullOffChipPredictor:
         return None
@@ -238,23 +229,20 @@ def _precompute_offchip_indices(
 
 
 def _make_inline_fill(cache: Cache):
-    """Positional fast-path clone of ``Cache.fill`` with LRU inlined.
+    """Positional fast-path clone of ``Cache.fill``.
 
-    Only valid for :func:`_cache_is_fusible` caches (stock :class:`Cache`
-    over :class:`LRUPolicy` sets) and for fills that never set ``dirty`` --
-    which is every fill the fused loop drives (demand fills and prefetch
-    fills; writes dirty blocks via the lookup path, not fills).  Identical
-    arithmetic and update order to ``Cache.fill`` + ``Cache._evict`` +
-    ``LRUPolicy``; the only shortcut is skipping the
+    Only valid for stock :class:`Cache` instances (subclasses fall back in
+    :func:`batch_unsupported_reason`) and for fills that never set
+    ``dirty`` -- which is every fill the fused loop drives (demand fills
+    and prefetch fills; writes dirty blocks via the lookup path, not
+    fills).  Identical arithmetic and update order to
+    ``Cache.fill`` + ``Cache._evicted``; the only shortcut is skipping the
     :class:`EvictionInfo` allocation when the cache has no eviction
     listener to observe it.
     """
     sets = cache._sets
     num_sets = cache.num_sets
-    ways_all = cache._ways
-    way_contents = cache._way_contents
-    free_ways_all = cache._free_ways
-    policies = cache._policies
+    associativity = cache.associativity
     stats = cache.stats
     listener = cache._eviction_listener
 
@@ -276,37 +264,25 @@ def _make_inline_fill(cache: Cache):
             if ready_cycle < existing.ready_cycle:
                 existing.ready_cycle = ready_cycle
             return
-        free_ways = free_ways_all[set_idx]
-        policy = policies[set_idx]
-        if not free_ways:
-            # Stamps are unique (monotone clock per set), so index(min) is
-            # exactly the first-minimal way LRUPolicy.victim() scans for.
-            stamps = policy._stamps
-            victim_way = stamps.index(min(stamps))
-            victim_addr = way_contents[set_idx][victim_way]
-            if victim_addr is not None:
-                victim = cache_set.pop(victim_addr)
-                ways_all[set_idx].pop(victim_addr)
-                way_contents[set_idx][victim_way] = None
-                free_ways.append(victim_way)
-                stats.evictions += 1
-                if victim.dirty:
-                    stats.writebacks += 1
-                if victim.prefetched:
-                    if victim.prefetch_useful:
-                        stats.useful_prefetch_evictions += 1
-                    else:
-                        stats.useless_prefetch_evictions += 1
-                if listener is not None:
-                    listener(
-                        EvictionInfo(
-                            block_addr=victim_addr,
-                            was_prefetched=victim.prefetched,
-                            prefetch_was_useful=victim.prefetch_useful,
-                            was_dirty=victim.dirty,
-                        )
+        if len(cache_set) >= associativity:
+            victim_addr, victim = cache_set.popitem(last=False)
+            stats.evictions += 1
+            if victim.dirty:
+                stats.writebacks += 1
+            if victim.prefetched:
+                if victim.prefetch_useful:
+                    stats.useful_prefetch_evictions += 1
+                else:
+                    stats.useless_prefetch_evictions += 1
+            if listener is not None:
+                listener(
+                    EvictionInfo(
+                        block_addr=victim_addr,
+                        was_prefetched=victim.prefetched,
+                        prefetch_was_useful=victim.prefetch_useful,
+                        was_dirty=victim.dirty,
                     )
-        way = free_ways.pop()
+                )
         # Positional CacheBlock args in field order: block_addr, valid,
         # dirty, prefetched, prefetch_useful, prefetch_source_level,
         # fill_cycle, ready_cycle.
@@ -314,10 +290,6 @@ def _make_inline_fill(cache: Cache):
             block_addr, True, False, prefetched, False,
             prefetch_source_level, cycle, ready_cycle,
         )
-        ways_all[set_idx][block_addr] = way
-        way_contents[set_idx][way] = block_addr
-        policy._clock += 1
-        policy._stamps[way] = policy._clock
         if prefetched:
             stats.prefetch_fills += 1
         else:
@@ -372,13 +344,10 @@ def run_core_trace_batched(
     page_table = hierarchy.page_table
     page_map = page_table._mapping
     allocate_frame = page_table._allocate_frame
-    l1_sets, l1_ways, l1_policies = l1d._sets, l1d._ways, l1d._policies
-    l1_num_sets, l1_latency = l1d.num_sets, l1d.latency
-    l2_sets, l2_ways, l2_policies = l2c._sets, l2c._ways, l2c._policies
-    l2_num_sets, l2_latency = l2c.num_sets, l2c.latency
-    llc_sets, llc_ways, llc_policies = llc._sets, llc._ways, llc._policies
-    llc_num_sets, llc_latency = llc.num_sets, llc.latency
-    # Positional fast-path fills (Cache.fill + LRU inlined; sound because
+    l1_sets, l1_num_sets, l1_latency = l1d._sets, l1d.num_sets, l1d.latency
+    l2_sets, l2_num_sets, l2_latency = l2c._sets, l2c.num_sets, l2c.latency
+    llc_sets, llc_num_sets, llc_latency = llc._sets, llc.num_sets, llc.latency
+    # Positional fast-path fills (Cache.fill inlined; sound because
     # batch_unsupported_reason already required the stock cache shapes).
     l1_fill = _make_inline_fill(l1d)
     l2_fill = _make_inline_fill(l2c)
@@ -664,7 +633,7 @@ def run_core_trace_batched(
                         queue_delay + dram_access_latency
                     )
 
-                # -- L1D probe + lookup (Cache.lookup + LRU inlined) --
+                # -- L1D probe + lookup (Cache.lookup inlined) --
                 latency = l1_latency
                 set_index = block % l1_num_sets
                 resident = l1_sets[set_index].get(block)
@@ -685,9 +654,7 @@ def run_core_trace_batched(
                         l1_pf_hits += 1
                     if is_write:
                         resident.dirty = True
-                    policy = l1_policies[set_index]
-                    policy._clock += 1
-                    policy._stamps[l1_ways[set_index][block]] = policy._clock
+                    l1_sets[set_index].move_to_end(block)
                     if prefetch_hit:
                         resolve_l1_prefetch_use(block)
 
@@ -833,9 +800,7 @@ def run_core_trace_batched(
                             l2_pf_hits += 1
                         if is_write:
                             l2_block.dirty = True
-                        policy = l2_policies[set_index]
-                        policy._clock += 1
-                        policy._stamps[l2_ways[set_index][block]] = policy._clock
+                        l2_sets[set_index].move_to_end(block)
                         if l2_prefetch_hit:
                             resolve_l2_prefetch_use(block)
 
@@ -868,11 +833,7 @@ def run_core_trace_batched(
                                 llc_pf_hits += 1
                             if is_write:
                                 llc_block.dirty = True
-                            policy = llc_policies[set_index]
-                            policy._clock += 1
-                            policy._stamps[llc_ways[set_index][block]] = (
-                                policy._clock
-                            )
+                            llc_sets[set_index].move_to_end(block)
                         if llc_hit:
                             l1_fill(block, cycle, cycle + latency)
                             l2_fill(block, cycle, cycle + latency)

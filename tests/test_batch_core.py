@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.common.config import (
+    CacheConfig,
     SystemConfig,
     cascade_lake_multi_core,
     cascade_lake_single_core,
@@ -38,8 +39,8 @@ from repro.common.hashing import (
     table_index,
     table_index_np,
 )
+from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.replacement import SRRIPPolicy
 from repro.obs import tracer
 from repro.predictors.features import FeatureSpec
 from repro.predictors.perceptron import HashedPerceptron
@@ -57,6 +58,7 @@ from repro.sim.scenarios import SCHEMES, build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
 from repro.traces.ingest import import_champsim_trace, read_champsim_trace
 from repro.traces.store import TraceStore
+from repro.traces.trace import KIND_LOAD, KIND_NON_MEM, KIND_STORE, Trace
 from repro.workloads import gap_trace, spec_like_trace
 from repro.workloads.catalog import default_catalog
 
@@ -206,6 +208,64 @@ class TestChunkBoundarySweep:
         assert result.ipc == pytest.approx(scalar.ipc)
 
 
+class TestEvictionHeavyEquivalence:
+    """Tiny caches make most fills evict: batch == scalar.
+
+    With 2x2 L1D, 4x2 L2C and 8x2 LLC (sets x ways), a skewed stream over
+    256 blocks (a hot 4, a warm 20, a cold tail) hits and evicts at every
+    level, so the fused recency updates, victim choice, eviction counters
+    and eviction listeners run on most accesses instead of rarely, as they
+    do at the Table III sizes.
+    """
+
+    @staticmethod
+    def _system(core: str) -> SystemConfig:
+        return dataclasses.replace(
+            _system(core),
+            l1d=CacheConfig("L1D", 2 * 2 * 64, 2, 4),
+            l2c=CacheConfig("L2C", 4 * 2 * 64, 2, 10),
+            llc=CacheConfig("LLC", 8 * 2 * 64, 2, 36),
+        )
+
+    @pytest.fixture(scope="class")
+    def skewed_trace(self):
+        rng = np.random.default_rng(7)
+        count = 3_000
+        tier = rng.choice(3, size=count, p=(0.4, 0.35, 0.25))
+        blocks = np.where(
+            tier == 0,
+            rng.integers(0, 4, count),
+            np.where(tier == 1, rng.integers(4, 24, count),
+                     rng.integers(24, 256, count)),
+        )
+        vaddr = 0x1000_0000 + blocks * 64 + rng.integers(0, 64, count)
+        pc = 0x40_0000 + rng.integers(0, 16, count) * 4
+        kind = rng.choice(
+            [KIND_LOAD, KIND_STORE, KIND_NON_MEM], size=count,
+            p=(0.55, 0.1, 0.35),
+        )
+        return Trace.from_columns("eviction-heavy", pc, vaddr, kind)
+
+    @pytest.mark.parametrize(
+        "scheme,l1d_prefetcher",
+        (("tlp", "ipcp"), ("ppf", "ipcp"), ("tlp", "berti")),
+    )
+    def test_bit_identical(self, skewed_trace, scheme, l1d_prefetcher):
+        scenario = build_scenario(scheme, l1d_prefetcher=l1d_prefetcher)
+        results = {}
+        for core in ("scalar", "batch"):
+            system = self._system(core)
+            hierarchy = build_hierarchy(scenario, config=system)
+            assert batch_supported(hierarchy)
+            results[core] = run_single_core(
+                skewed_trace, scenario, config=system, hierarchy=hierarchy
+            )
+            for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
+                assert cache.stats.demand_hits > 0, (core, cache.name)
+                assert cache.stats.evictions > 0, (core, cache.name)
+        _assert_identical(results["scalar"], results["batch"])
+
+
 class TestTableCollisionStress:
     """Tiny predictor tables force index collisions on every structure.
 
@@ -276,14 +336,14 @@ class TestFallbacks:
         )
         assert reason == "hierarchy subclass InstrumentedHierarchy"
 
-    def test_fallback_reason_names_non_lru_cache(self):
+    def test_fallback_reason_names_cache_subclass(self):
+        class InstrumentedCache(Cache):
+            pass
+
         hierarchy = build_hierarchy(build_scenario("tlp"))
-        llc = hierarchy.llc
-        llc._policies[0] = SRRIPPolicy(llc.associativity)
+        hierarchy.shared.llc = InstrumentedCache(hierarchy.llc.config)
         reason = batch_unsupported_reason(hierarchy)
-        assert reason is not None
-        assert llc.name in reason
-        assert "non-LRU replacement policy" in reason
+        assert reason == "LLC: unmodelled cache shape (InstrumentedCache)"
 
     def test_fallback_emits_obs_event_and_warns_once(
         self, tmp_path, spec_mcf_trace, caplog

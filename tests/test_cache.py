@@ -8,7 +8,7 @@ from repro.memory.cache import Cache
 
 
 def tiny_cache(sets: int = 4, ways: int = 2) -> Cache:
-    config = CacheConfig("T", sets * ways * 64, ways, 1, 4)
+    config = CacheConfig("T", sets * ways * 64, ways, 1)
     return Cache(config)
 
 
@@ -79,7 +79,7 @@ class TestPrefetchTracking:
 
     def test_eviction_listener_invoked(self):
         seen = []
-        config = CacheConfig("T", 64, 1, 1, 4)
+        config = CacheConfig("T", 64, 1, 1)
         cache = Cache(config, eviction_listener=seen.append)
         cache.fill(0x1, prefetched=True)
         cache.fill(0x2)
@@ -140,33 +140,30 @@ class TestStatsAndOccupancy:
 
 
 class TestVictimResolution:
-    """Regression tests for the way -> block_addr reverse map.
-
-    The eviction path resolves the replacement policy's victim way to a
-    block address; an earlier implementation scanned the whole set.  These
-    tests pin down that the fast map always evicts exactly the block the
-    policy selected.
-    """
+    """A full set evicts its least recently touched block."""
 
     def test_eviction_removes_policy_victim(self):
         cache = tiny_cache(sets=1, ways=4)
         for addr in range(4):
             cache.fill(addr)
-        victim_way = cache._policies[0].victim()
-        victim_addr = cache._addr_in_way(0, victim_way)
+        cache.lookup(0)
+        cache.lookup(2)          # order (LRU -> MRU): 1, 3, 0, 2
         eviction = cache.fill(4)
-        assert eviction.block_addr == victim_addr
+        assert eviction.block_addr == 1
+        assert not cache.resident(1)
+        assert sorted(cache.resident_blocks()) == [0, 2, 3, 4]
 
     def test_addr_in_way_tracks_fills_and_evictions(self):
         cache = tiny_cache(sets=1, ways=2)
         cache.fill(10)
         cache.fill(20)
-        ways = {cache._addr_in_way(0, way) for way in range(2)}
-        assert ways == {10, 20}
+        assert set(cache.resident_blocks()) == {10, 20}
         cache.invalidate(10)
-        remaining = [cache._addr_in_way(0, way) for way in range(2)]
-        assert remaining.count(None) == 1
-        assert 20 in remaining
+        assert cache.resident_blocks() == [20]
+        assert cache.fill(30) is None          # the freed way is reused
+        assert set(cache.resident_blocks()) == {20, 30}
+        assert cache.fill(40).block_addr == 20
+        assert set(cache.resident_blocks()) == {30, 40}
 
     def test_lru_sequence_eviction_order(self):
         cache = tiny_cache(sets=1, ways=3)
@@ -179,23 +176,85 @@ class TestVictimResolution:
         assert cache.fill(5).block_addr == 1
 
 
+_SETS = 2
+# Six candidate blocks per set against at most four ways: hits, full-set
+# evictions and re-fills of evicted blocks all stay frequent.  Invalidates
+# are drawn less often so sets usually fill up.
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["lookup", "lookup", "fill", "fill", "invalidate"]),
+        st.integers(min_value=0, max_value=2 * 6 - 1),
+    ),
+    min_size=40,
+    max_size=200,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=4), _OPS)
+def test_matches_list_lru_model(ways, ops):
+    """Drive the cache against a plain per-set list ordered LRU -> MRU.
+
+    Every full-set fill must evict the model's LRU block -- a resident one,
+    and never the set's most recently touched block when the set has more
+    than one way -- and the resident blocks must match the model after
+    every operation.
+    """
+    cache = tiny_cache(sets=_SETS, ways=ways)
+    model: list[list[int]] = [[] for _ in range(_SETS)]
+    for op, block in ops:
+        order = model[block % _SETS]
+        if op == "lookup":
+            assert cache.lookup(block) is (block in order)
+            if block in order:
+                order.remove(block)
+                order.append(block)
+        elif op == "fill":
+            eviction = cache.fill(block)
+            if block in order or len(order) < ways:
+                assert eviction is None
+            else:
+                assert eviction is not None
+                assert eviction.block_addr == order[0]
+                if ways > 1:
+                    assert eviction.block_addr != order[-1]
+                order.pop(0)
+            if block not in order:
+                order.append(block)
+        else:
+            assert cache.invalidate(block) is (block in order)
+            if block in order:
+                order.remove(block)
+        resident = cache.resident_blocks()
+        assert sorted(resident) == sorted(b for o in model for b in o)
+        for set_idx in range(_SETS):
+            in_set = [b for b in resident if b % _SETS == set_idx]
+            assert len(in_set) <= ways
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),
     st.lists(st.integers(min_value=0, max_value=31), min_size=1, max_size=200),
 )
 def test_reverse_map_matches_set_contents(ways, block_stream):
+    """Per-address metadata lookups agree with each set's contents."""
     cache = tiny_cache(sets=2, ways=ways)
     for block in block_stream:
         if not cache.lookup(block):
             cache.fill(block)
+        resident = cache.resident_blocks()
         for set_idx in range(2):
+            in_set = {b for b in resident if cache.set_index(b) == set_idx}
             mapped = {
-                cache._addr_in_way(set_idx, way)
-                for way in range(ways)
-                if cache._addr_in_way(set_idx, way) is not None
+                b for b in range(32)
+                if b % 2 == set_idx and cache.get_block(b) is not None
             }
-            assert mapped == set(cache._sets[set_idx].keys())
+            assert mapped == in_set
+            assert len(in_set) <= ways
+        for b in resident:
+            assert cache.resident(b)
+            assert cache.get_block(b).block_addr == b
 
 
 @settings(max_examples=30, deadline=None)

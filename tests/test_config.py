@@ -14,16 +14,20 @@ from repro.common.config import (
 
 class TestCacheConfig:
     def test_l1d_sets(self):
-        config = CacheConfig("L1D", 32 * 1024, 8, 4, 10)
+        config = CacheConfig("L1D", 32 * 1024, 8, 4)
         assert config.num_sets == 64
 
     def test_llc_sets(self):
-        config = CacheConfig("LLC", 1408 * 1024, 11, 36, 64)
+        config = CacheConfig("LLC", 1408 * 1024, 11, 36)
         assert config.num_sets == 2048
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
-            CacheConfig("bad", 1000, 3, 1, 1)
+            CacheConfig("bad", 1000, 3, 1)
+
+    def test_nonpositive_associativity_rejected(self):
+        with pytest.raises(ValueError):
+            CacheConfig("bad", 0, 0, 1)
 
 
 class TestDRAMConfig:

@@ -1,66 +1,39 @@
-"""Tests for the replacement policies."""
+"""Tests for the caches' LRU replacement (Table III uses LRU at every level)."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.memory.replacement import LRUPolicy, SRRIPPolicy, make_policy
+from repro.common.config import CacheConfig
+from repro.memory.cache import Cache
+
+
+def one_set(associativity: int) -> Cache:
+    return Cache(CacheConfig("T", associativity * 64, associativity, 1))
 
 
 class TestLRU:
     def test_victim_is_least_recently_used(self):
-        lru = LRUPolicy(4)
-        for way in range(4):
-            lru.on_fill(way)
-        lru.on_hit(0)
-        lru.on_hit(1)
-        lru.on_hit(2)
-        assert lru.victim() == 3
+        cache = one_set(4)
+        for block in range(4):
+            cache.fill(block)
+        cache.lookup(0)
+        cache.lookup(1)
+        cache.lookup(2)
+        assert cache.fill(4).block_addr == 3
 
     def test_fill_makes_way_most_recent(self):
-        lru = LRUPolicy(2)
-        lru.on_fill(0)
-        lru.on_fill(1)
-        assert lru.victim() == 0
+        cache = one_set(2)
+        cache.fill(0)
+        cache.fill(1)
+        assert cache.fill(2).block_addr == 0
+        assert cache.fill(3).block_addr == 1
 
     def test_hit_refreshes_recency(self):
-        lru = LRUPolicy(3)
-        lru.on_fill(0)
-        lru.on_fill(1)
-        lru.on_fill(2)
-        lru.on_hit(0)
-        assert lru.victim() == 1
-
-    def test_invalid_associativity(self):
-        with pytest.raises(ValueError):
-            LRUPolicy(0)
-
-
-class TestSRRIP:
-    def test_victim_exists_even_when_all_recent(self):
-        srrip = SRRIPPolicy(4)
-        for way in range(4):
-            srrip.on_fill(way)
-            srrip.on_hit(way)
-        assert 0 <= srrip.victim() < 4
-
-    def test_hit_protects_block(self):
-        srrip = SRRIPPolicy(2)
-        srrip.on_fill(0)
-        srrip.on_fill(1)
-        srrip.on_hit(0)
-        assert srrip.victim() == 1
-
-
-class TestFactory:
-    def test_make_lru(self):
-        assert isinstance(make_policy("lru", 4), LRUPolicy)
-
-    def test_make_srrip(self):
-        assert isinstance(make_policy("SRRIP", 4), SRRIPPolicy)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            make_policy("plru", 4)
+        cache = one_set(3)
+        cache.fill(0)
+        cache.fill(1)
+        cache.fill(2)
+        cache.lookup(0)
+        assert cache.fill(3).block_addr == 1
 
 
 @given(
@@ -68,19 +41,20 @@ class TestFactory:
     st.lists(st.integers(min_value=0, max_value=7), max_size=100),
 )
 def test_lru_victim_always_valid_way(associativity, hits):
-    lru = LRUPolicy(associativity)
-    for way in range(associativity):
-        lru.on_fill(way)
+    cache = one_set(associativity)
+    for block in range(associativity):
+        cache.fill(block)
     for hit in hits:
-        lru.on_hit(hit % associativity)
-    assert 0 <= lru.victim() < associativity
+        assert cache.lookup(hit % associativity)
+    eviction = cache.fill(associativity)
+    assert 0 <= eviction.block_addr < associativity
 
 
 @given(st.integers(min_value=2, max_value=8), st.data())
 def test_lru_recently_touched_way_is_never_victim(associativity, data):
-    lru = LRUPolicy(associativity)
-    for way in range(associativity):
-        lru.on_fill(way)
+    cache = one_set(associativity)
+    for block in range(associativity):
+        cache.fill(block)
     touched = data.draw(st.integers(min_value=0, max_value=associativity - 1))
-    lru.on_hit(touched)
-    assert lru.victim() != touched
+    cache.lookup(touched)
+    assert cache.fill(associativity).block_addr != touched
