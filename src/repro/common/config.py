@@ -91,6 +91,12 @@ class CoreConfig:
     #: request (6 cycles in the paper, Section IV-D).
     offchip_predictor_latency: int = 6
 
+    def __post_init__(self) -> None:
+        if self.width <= 0:
+            raise ValueError(f"core width must be positive, got {self.width}")
+        if self.rob_size <= 0:
+            raise ValueError(f"rob size must be positive, got {self.rob_size}")
+
 
 @dataclass(frozen=True)
 class SystemConfig:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from repro.common.config import CoreConfig
 from repro.common.types import AccessOutcome, MemoryAccess
@@ -60,35 +60,13 @@ class CoreResult:
         return self.total_load_latency / self.loads
 
 
-class OutOfOrderCore:
-    """ROB-occupancy limited out-of-order retirement model."""
-
-    def __init__(self, config: Optional[CoreConfig] = None) -> None:
-        self.config = config if config is not None else CoreConfig()
-        if self.config.width <= 0:
-            raise ValueError(f"core width must be positive, got {self.config.width}")
-        if self.config.rob_size <= 0:
-            raise ValueError(
-                f"rob size must be positive, got {self.config.rob_size}"
-            )
-
-    def run(
-        self,
-        trace: Iterable[MemoryAccess],
-        memory: MemoryCallback,
-        start_cycle: float = 0.0,
-    ) -> CoreResult:
-        """Run a full trace to completion and return aggregate timing."""
-        runner = CoreRunner(self.config, memory, start_cycle)
-        runner.run_trace(trace)
-        return runner.finish()
-
-
 class CoreRunner:
-    """Incremental core model that can be stepped one instruction at a time.
+    """ROB-occupancy limited out-of-order retirement model.
 
-    The multi-core driver steps several runners in time order so that they
-    contend for the shared DRAM channel realistically.
+    Runs a whole trace (:meth:`run_trace`) or is stepped one instruction at
+    a time (:meth:`step_values`); the multi-core driver steps several
+    runners in time order so that they contend for the shared DRAM channel
+    realistically.
     """
 
     def __init__(
@@ -118,12 +96,16 @@ class CoreRunner:
             rob_constraint = self._retire_times[0]
         return max(self._dispatch_cycle, rob_constraint)
 
-    def step_values(self, pc: int, vaddr: int, kind: int) -> None:
+    def step_values(self, pc: int, vaddr: int, kind: int) -> float:
         """Dispatch, execute and retire one record given as column scalars.
 
         ``kind`` is an :class:`AccessKind` value (or its plain-int code, as
         stored in a columnar trace's ``kind`` array -- ``IntEnum`` members
         compare equal to their codes, so both step identically).
+
+        Returns the cycle at which the next instruction would dispatch --
+        the value of :attr:`next_dispatch_cycle` after this step, so a
+        driver that orders cores by dispatch time needs no second call.
         """
         retire_times = self._retire_times
         dispatch = self._dispatch_cycle
@@ -152,12 +134,16 @@ class CoreRunner:
             retire = completion
         retire_times.append(retire)
         self._last_retire = retire
-        self._dispatch_cycle = dispatch + self.dispatch_interval
+        dispatch += self.dispatch_interval
+        self._dispatch_cycle = dispatch
         self.instructions += 1
+        if len(retire_times) >= self.rob_size and retire_times[0] > dispatch:
+            return retire_times[0]
+        return dispatch
 
-    def step(self, record: MemoryAccess) -> None:
-        """Dispatch, execute and retire one trace record."""
-        self.step_values(record.pc, record.vaddr, record.kind)
+    def step(self, record: MemoryAccess) -> float:
+        """Dispatch, execute and retire one trace record (see :meth:`step_values`)."""
+        return self.step_values(record.pc, record.vaddr, record.kind)
 
     def run_trace(self, trace) -> None:
         """Step every record of ``trace`` through the core.

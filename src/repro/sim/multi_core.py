@@ -4,9 +4,21 @@ The paper's multi-core evaluation runs 4-core mixes sharing the LLC and a
 DRAM channel whose per-core bandwidth is one quarter of the single-core
 configuration (3.2 GB/s per core, Table III).  The driver below builds one
 :class:`~repro.memory.hierarchy.SharedMemory` back-end, one private hierarchy
-and one incremental core model per trace, and advances the core with the
-smallest dispatch cycle so that the cores contend for DRAM bandwidth in time
-order.
+and one incremental core model per trace, and always steps the core with
+the smallest ``(next dispatch cycle, core id)`` so that the cores contend
+for the shared LLC and DRAM bandwidth in time order.
+
+The cores are interleaved *run until overtaken* (see :func:`_interleave`):
+the driver picks the leading core and the runner-up once, then steps the
+leader record after record until its key passes the runner-up's.  Stepping
+one core never changes another core's dispatch state, so the runner-up's
+key stays exact for the whole run and every record goes to the same core
+the per-record argmin would pick, ties to the lowest core id included.  A
+core's next dispatch cycle never decreases (its retire times are appended
+in non-decreasing order), so once the leader's key passes the runner-up's
+it stays past it: the leader keeps the shared back-end for a whole run of
+records (tens of them on the benchmark mixes), and the core choice is made
+once per run instead of once per record.
 """
 
 from __future__ import annotations
@@ -51,10 +63,16 @@ def run_multicore_mix(
 ) -> MultiCoreResult:
     """Simulate one multi-core mix (one trace per core).
 
+    After a warm-up slice per core, the measured records are interleaved in
+    dispatch-time order: the core with the lowest ``(next dispatch cycle,
+    core id)`` runs until another core overtakes it (see the module
+    docstring for why this is exactly the per-record order).
+
     Always runs on the scalar reference path regardless of
-    ``config.sim_core``: the cores interleave per instruction on the shared
-    LLC/DRAM back-end, so there is no chunk of accesses free of cross-core
-    dependencies for the batch core of :mod:`repro.sim.batch` to fuse.
+    ``config.sim_core``: the cores interleave on the shared LLC/DRAM
+    back-end a few dozen records at a time, so there is no chunk of
+    accesses free of cross-core dependencies for the batch core of
+    :mod:`repro.sim.batch` to fuse.
     """
     if not traces:
         raise ValueError("a multi-core mix needs at least one trace")
@@ -79,40 +97,16 @@ def run_multicore_mix(
     # Warm-up: run each core's warm-up slice (shared caches and predictors
     # learn; timing contention during warm-up is irrelevant).
     for hierarchy, warm in zip(hierarchies, warmups):
-        runner = CoreRunner(system.core, _make_callback(hierarchy))
-        runner.run_trace(warm)
+        CoreRunner(system.core, hierarchy.demand_access).run_trace(warm)
     for index, hierarchy in enumerate(hierarchies):
         hierarchy.reset_stats(include_shared=(index == 0))
 
     # Measured phase: interleave the cores in dispatch-time order so that
-    # they contend for the shared DRAM channel.  The record streams are
-    # consumed as column lists (pc, vaddr, kind) -- no record objects are
-    # materialized on this path.
+    # they contend for the shared DRAM channel.
     runners = [
-        CoreRunner(system.core, _make_callback(hierarchy))
-        for hierarchy in hierarchies
+        CoreRunner(system.core, hierarchy.demand_access) for hierarchy in hierarchies
     ]
-    columns = [trace_lists(trace) for trace in measured]
-    positions = [0] * len(traces)
-    lengths = [len(pcs) for pcs, _, _ in columns]
-    active = [length > 0 for length in lengths]
-    while any(active):
-        best_core = -1
-        best_cycle = float("inf")
-        for core_id, runner in enumerate(runners):
-            if not active[core_id]:
-                continue
-            cycle = runner.next_dispatch_cycle
-            if cycle < best_cycle:
-                best_cycle = cycle
-                best_core = core_id
-        runner = runners[best_core]
-        position = positions[best_core]
-        pcs, vaddrs, kinds = columns[best_core]
-        runner.step_values(pcs[position], vaddrs[position], kinds[position])
-        positions[best_core] = position + 1
-        if position + 1 >= lengths[best_core]:
-            active[best_core] = False
+    _interleave(runners, measured)
 
     results: list[CoreResult] = [runner.finish() for runner in runners]
     for hierarchy in hierarchies:
@@ -133,8 +127,38 @@ def run_multicore_mix(
     )
 
 
-def _make_callback(hierarchy: MemoryHierarchy):
-    def access(pc: int, vaddr: int, cycle: int, is_write: bool):
-        return hierarchy.demand_access(pc, vaddr, cycle, is_write=is_write)
+def _interleave(runners: list[CoreRunner], traces: list[Trace]) -> None:
+    """Step every record of ``traces[i]`` through ``runners[i]``, always
+    stepping the core with the lowest ``(next dispatch cycle, core id)``.
 
-    return access
+    The core choice is made once per run: one scan over the active cores
+    finds the leader and the runner-up, then the leader is stepped while
+    its key stays below the runner-up's.  ``step_values`` returns the
+    leader's new next dispatch cycle, so the run costs one call per
+    record.  The record streams are consumed as column lists (pc, vaddr,
+    kind); no record objects are materialized on this path.
+    """
+    steps = [runner.step_values for runner in runners]
+    cycles = [runner.next_dispatch_cycle for runner in runners]
+    streams = [zip(*trace_lists(trace)) for trace in traces]
+    active = list(range(len(runners)))
+    while active:
+        leader = rival = -1
+        leader_cycle = bound = float("inf")
+        for core in active:
+            cycle = cycles[core]
+            if cycle < leader_cycle:
+                rival, bound = leader, leader_cycle
+                leader, leader_cycle = core, cycle
+            elif cycle < bound:
+                rival, bound = core, cycle
+        step = steps[leader]
+        for pc, vaddr, kind in streams[leader]:
+            cycle = step(pc, vaddr, kind)
+            # Overtaken once (cycle, leader) no longer sorts before
+            # (bound, rival); ties go to the lower core id.
+            if cycle >= bound and (cycle > bound or leader > rival):
+                cycles[leader] = cycle
+                break
+        else:
+            active.remove(leader)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.common.config import SystemConfig, cascade_lake_single_core
-from repro.cpu.core import CoreRunner, OutOfOrderCore
+from repro.cpu.core import CoreRunner
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import sample as obs_sample
 from repro.sim.batch import run_single_core_batched
@@ -86,22 +86,17 @@ def run_single_core(
         )
         result = runner.finish()
     else:
-        core = OutOfOrderCore(system.core)
-
-        def access(pc: int, vaddr: int, cycle: int, is_write: bool):
-            return memory.demand_access(pc, vaddr, cycle, is_write=is_write)
-
         warmup, measured = trace.split(warmup_fraction)
         if len(warmup):
-            core.run(warmup, access)
+            CoreRunner(system.core, memory.demand_access).run_trace(warmup)
             memory.reset_stats(include_shared=True)
 
+        runner = CoreRunner(system.core, memory.demand_access)
         if sample_interval:
-            result = _run_scalar_sampled(
-                core, measured, access, sample_interval, emit_sample
-            )
+            _run_scalar_sampled(runner, measured, sample_interval, emit_sample)
         else:
-            result = core.run(measured, access)
+            runner.run_trace(measured)
+        result = runner.finish()
     memory.finalize()
     if sample_interval:
         # A final snapshot at the end of the measured phase closes the
@@ -122,21 +117,19 @@ def run_single_core(
 
 
 def _run_scalar_sampled(
-    core: OutOfOrderCore,
+    runner: CoreRunner,
     measured: Trace,
-    access,
     interval: int,
     emit_sample,
-):
+) -> None:
     """Measured-phase scalar run emitting a snapshot every ``interval``
     memory accesses.
 
-    Bit-identical to ``core.run(measured, access)``: one persistent
-    :class:`CoreRunner` steps zero-copy trace slices cut just after every
-    ``interval``-th load/store, and ``run_trace`` accumulates across
-    slices exactly as it does across one whole trace.
+    Bit-identical to ``runner.run_trace(measured)``: the runner steps
+    zero-copy trace slices cut just after every ``interval``-th
+    load/store, and ``run_trace`` accumulates across slices exactly as it
+    does across one whole trace.
     """
-    runner = CoreRunner(core.config, access, 0.0)
     _, _, kind = measured.columns()
     positions = np.flatnonzero(kind != KIND_NON_MEM)
     cuts = (positions[interval - 1 :: interval] + 1).tolist()
@@ -149,4 +142,3 @@ def _run_scalar_sampled(
         emit_sample(accesses, runner.instructions, runner.done_cycles)
     if previous < len(measured):
         runner.run_trace(measured[previous:])
-    return runner.finish()

@@ -1,17 +1,97 @@
 """Integration tests: scenario building, single-core and multi-core drivers."""
 
-import pytest
+from dataclasses import asdict, replace
+from unittest import mock
 
-from repro.common.config import cascade_lake_multi_core, cascade_lake_single_core
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.common.config import (
+    CoreConfig,
+    cascade_lake_multi_core,
+    cascade_lake_single_core,
+)
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.predictors.hermes import HermesPredictor
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
+from repro.sim import multi_core
 from repro.sim.multi_core import run_multicore_mix
 from repro.sim.scenarios import SCHEMES, Scenario, build_hierarchy, build_scenario
 from repro.sim.single_core import run_single_core
+from repro.traces.trace import KIND_LOAD, KIND_NON_MEM, KIND_STORE, Trace, trace_lists
+
+
+def argmin_interleave(runners, traces):
+    """Reference multi-core order: before every record, rescan the cores and
+    step the active one with the lowest ``(next_dispatch_cycle, core id)``."""
+    columns = [trace_lists(trace) for trace in traces]
+    positions = [0] * len(traces)
+    lengths = [len(pcs) for pcs, _, _ in columns]
+    active = [length > 0 for length in lengths]
+    while any(active):
+        best_core = -1
+        best_cycle = float("inf")
+        for core_id, runner in enumerate(runners):
+            if not active[core_id]:
+                continue
+            cycle = runner.next_dispatch_cycle
+            if cycle < best_cycle:
+                best_cycle = cycle
+                best_core = core_id
+        position = positions[best_core]
+        pcs, vaddrs, kinds = columns[best_core]
+        runners[best_core].step_values(pcs[position], vaddrs[position], kinds[position])
+        positions[best_core] = position + 1
+        if position + 1 >= lengths[best_core]:
+            active[best_core] = False
+
+
+class ScriptedRunner:
+    """Stand-in core whose next dispatch cycle grows by scripted steps.
+
+    Small integer steps (zero included) make dispatch-cycle ties between
+    cores the common case.  Each step logs ``(core_id, pc)``.
+    """
+
+    def __init__(self, core_id, start, increments, log):
+        self.core_id = core_id
+        self.next_dispatch_cycle = start
+        self.increments = increments
+        self.log = log
+
+    def step_values(self, pc, vaddr, kind):
+        self.log.append((self.core_id, pc))
+        self.next_dispatch_cycle += self.increments[pc]
+        return self.next_dispatch_cycle
+
+
+# Short traces over 16 blocks: first touches go to DRAM and later ones hit,
+# so the cores' load latencies, and hence their dispatch cycles, differ.
+RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from([KIND_LOAD, KIND_LOAD, KIND_STORE, KIND_NON_MEM]),
+        st.integers(0, 3),
+        st.integers(0, 15),
+    ),
+    max_size=40,
+)
+
+
+def records_trace(name, records):
+    kinds = [kind for kind, _, _ in records]
+    pcs = [0x400 + 4 * pc for _, pc, _ in records]
+    vaddrs = [
+        0 if kind == KIND_NON_MEM else 0x10000 + 64 * block
+        for kind, _, block in records
+    ]
+    return Trace.from_columns(
+        name, np.array(pcs), np.array(vaddrs), np.array(kinds)
+    )
 
 
 class TestScenarioBuilding:
@@ -154,3 +234,79 @@ class TestMultiCoreDriver:
         tlp = run_multicore_mix(traces, build_scenario("tlp"))
         assert tlp.dram_transactions > 0
         assert baseline.dram_transactions > 0
+
+    @given(
+        cores=st.lists(
+            st.tuples(st.integers(0, 3), st.lists(st.integers(0, 2), max_size=12)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_interleave_order_matches_argmin_on_tied_cycles(self, cores):
+        def order(interleave):
+            log = []
+            runners = [
+                ScriptedRunner(core_id, start, increments, log)
+                for core_id, (start, increments) in enumerate(cores)
+            ]
+            traces = [
+                Trace.from_columns(
+                    "scripted",
+                    np.arange(len(increments)),
+                    np.zeros(len(increments)),
+                    np.full(len(increments), KIND_NON_MEM),
+                )
+                for _, increments in cores
+            ]
+            interleave(runners, traces)
+            return log
+
+        assert order(multi_core._interleave) == order(argmin_interleave)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        num_cores=st.integers(1, 4),
+        rob_size=st.integers(4, 32),
+        width=st.integers(1, 4),
+        identical=st.booleans(),
+        records=st.lists(RECORDS, min_size=4, max_size=4),
+    )
+    def test_interleave_matches_per_record_argmin(
+        self, num_cores, rob_size, width, identical, records
+    ):
+        # Identical traces on every core make dispatch-cycle ties common,
+        # which pins the lowest-core-id tie rule.
+        if identical:
+            records = [records[0]] * 4
+        traces = [
+            records_trace(f"t{core}", records[core]) for core in range(num_cores)
+        ]
+        system = replace(
+            cascade_lake_multi_core(num_cores),
+            core=CoreConfig(width=width, rob_size=rob_size),
+        )
+        original = MemoryHierarchy.demand_access
+
+        def simulate(interleave):
+            accesses = []
+
+            def demand_access(hierarchy, pc, vaddr, cycle, is_write=False):
+                accesses.append((hierarchy.core_id, pc, vaddr, cycle, is_write))
+                return original(hierarchy, pc, vaddr, cycle, is_write)
+
+            with mock.patch.object(
+                MemoryHierarchy, "demand_access", demand_access
+            ), mock.patch.object(multi_core, "_interleave", interleave):
+                result = run_multicore_mix(
+                    traces, build_scenario("baseline"), config=system
+                )
+            return accesses, asdict(result)
+
+        expected_accesses, expected = simulate(argmin_interleave)
+        accesses, result = simulate(multi_core._interleave)
+        assert accesses == expected_accesses
+        assert result == expected
