@@ -9,7 +9,9 @@ multi-core mode.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
 from repro.common.addresses import BLOCK_SIZE
 
@@ -159,6 +161,17 @@ def system_config_to_dict(config: SystemConfig) -> dict:
     payload = asdict(config)
     payload.pop("sim_core", None)
     return payload
+
+
+@lru_cache(maxsize=64)
+def system_json(config: SystemConfig) -> str:
+    """Canonical JSON of :func:`system_config_to_dict` (sorted keys).
+
+    This string identifies a system in campaign points and result-cache
+    keys.  Configs are frozen and hashable and a campaign uses a handful of
+    them, so each is serialized once per process.
+    """
+    return json.dumps(system_config_to_dict(config), sort_keys=True)
 
 
 def system_config_from_dict(payload: dict) -> SystemConfig:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.predictors.base import OffChipAction, OffChipDecision, OffChipPredictor
 from repro.predictors.features import FeatureHistory, legacy_hermes_features
-from repro.predictors.perceptron import HashedPerceptron
+from repro.predictors.perceptron import HashedPerceptron, table_one_kernel
 
 
 class FirstLevelPerceptron(OffChipPredictor):
@@ -55,6 +55,7 @@ class FirstLevelPerceptron(OffChipPredictor):
             training_threshold=training_threshold,
         )
         self.history = FeatureHistory(page_buffer_entries=page_buffer_entries)
+        self._kernel = table_one_kernel(self.perceptron)
         #: Last binary off-chip prediction; consumed by SLP's leveling feature
         #: for prefetches triggered by this demand access.
         self.last_prediction = False
@@ -63,9 +64,10 @@ class FirstLevelPerceptron(OffChipPredictor):
         self.negative_decisions = 0
 
     def predict(self, pc: int, vaddr: int, cycle: int) -> OffChipDecision:
-        context = self.history.context(pc, vaddr)
-        confidence, indices = self.perceptron.predict(context)
-        self.history.observe(pc, vaddr)
+        first_access, last_pcs = self.history.advance(pc, vaddr)
+        confidence, indices = self._kernel(
+            pc, vaddr, first_access, last_pcs, False
+        )
 
         if confidence > self.tau_high:
             action = OffChipAction.IMMEDIATE

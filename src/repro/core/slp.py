@@ -20,7 +20,7 @@ completes, positively if it was served from DRAM and negatively otherwise.
 from __future__ import annotations
 
 from repro.predictors.features import FeatureHistory, slp_features
-from repro.predictors.perceptron import HashedPerceptron
+from repro.predictors.perceptron import HashedPerceptron, table_one_kernel
 from repro.prefetchers.base import FilterDecision, PrefetchFilter, PrefetchRequest
 
 
@@ -45,6 +45,7 @@ class SecondLevelPerceptron(PrefetchFilter):
             training_threshold=training_threshold,
         )
         self.history = FeatureHistory(page_buffer_entries=page_buffer_entries)
+        self._kernel = table_one_kernel(self.perceptron)
         self.consultations = 0
         self.discarded = 0
         self.issued = 0
@@ -76,20 +77,19 @@ class SecondLevelPerceptron(PrefetchFilter):
         """Score one candidate; returns ``(issue, confidence, indices)``.
 
         The kernel behind :meth:`consult`, called directly by the batch
-        simulator core (no request/decision objects).  ``predict`` is
-        unrolled to ``_compute`` plus the two prediction counters it keeps.
+        simulator core (no request/decision objects): the page-buffer bit
+        and last-PC tuple come raw from the history and the six indices
+        from the straight-line :func:`table_one_kernel`.
         """
         self.consultations += 1
-        flp_bit = trigger_offchip_prediction if self.use_leveling_feature else False
-        history = self.history
-        perceptron = self.perceptron
-        context = history.context(trigger_pc, paddr, flp_prediction=flp_bit)
-        confidence, indices = perceptron._compute(context)
-        stats = perceptron.stats
-        stats.predictions += 1
-        if confidence >= 0:
-            stats.positive_predictions += 1
-        history.observe(trigger_pc, paddr)
+        first_access, last_pcs = self.history.advance(trigger_pc, paddr)
+        confidence, indices = self._kernel(
+            trigger_pc,
+            paddr,
+            first_access,
+            last_pcs,
+            self.use_leveling_feature and trigger_offchip_prediction,
+        )
         issue = confidence < self.tau_pref
         if issue:
             self.issued += 1

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from repro.common.config import (
     SystemConfig,
     cascade_lake_single_core,
-    system_config_to_dict,
+    system_json,
 )
 from repro.experiments.spec import multicore_mixes
 from repro.sim.engine import (
@@ -227,7 +227,7 @@ class CampaignCache:
         system_token = (
             None
             if system is None
-            else json.dumps(system_config_to_dict(system), sort_keys=True)
+            else system_json(system)
         )
         key = (workload, scheme, l1d_prefetcher, budget, system_token)
         if key not in self._single_core:
@@ -444,9 +444,7 @@ class CampaignCache:
 @lru_cache(maxsize=1)
 def _default_single_core_system_json() -> str:
     """Canonical JSON of the default single-core system (memo-token probe)."""
-    return json.dumps(
-        system_config_to_dict(cascade_lake_single_core()), sort_keys=True
-    )
+    return system_json(cascade_lake_single_core())
 
 
 # ----------------------------------------------------------------------

@@ -68,16 +68,6 @@ class CacheStats:
         return self.demand_misses / self.demand_accesses
 
 
-@dataclass
-class EvictionInfo:
-    """Describes a block that was evicted to make room for a fill."""
-
-    block_addr: int
-    was_prefetched: bool
-    prefetch_was_useful: bool
-    was_dirty: bool
-
-
 class Cache:
     """A set-associative, write-back cache with LRU replacement (Table III).
 
@@ -90,12 +80,16 @@ class Cache:
     Addresses handled by the cache are *block addresses* (byte address
     shifted right by 6); callers are responsible for the conversion, which
     keeps the hot path cheap.
+
+    ``eviction_listener``, when given, is called with every victim
+    :class:`CacheBlock` after it has left its set (its fields are final:
+    nothing touches an evicted block again).
     """
 
     def __init__(
         self,
         config: CacheConfig,
-        eviction_listener: Optional[Callable[[EvictionInfo], None]] = None,
+        eviction_listener: Optional[Callable[[CacheBlock], None]] = None,
     ) -> None:
         self.config = config
         self.name = config.name
@@ -172,13 +166,12 @@ class Cache:
         prefetch_source_level: Optional[int] = None,
         dirty: bool = False,
         ready_cycle: Optional[int] = None,
-    ) -> Optional[EvictionInfo]:
+    ) -> Optional[CacheBlock]:
         """Install a block, evicting a victim if the set is full.
 
         ``ready_cycle`` is when the data actually arrives (defaults to
-        ``cycle``, i.e. immediately).  Returns information about the evicted
-        block (or None if the set had room or the block was already
-        resident).
+        ``cycle``, i.e. immediately).  Returns the evicted victim block (or
+        None if the set had room or the block was already resident).
         """
         if ready_cycle is None:
             ready_cycle = cycle
@@ -196,9 +189,10 @@ class Cache:
                 existing.ready_cycle = ready_cycle
             return None
 
-        eviction: Optional[EvictionInfo] = None
+        victim: Optional[CacheBlock] = None
         if len(cache_set) >= self.associativity:
-            eviction = self._evicted(cache_set.popitem(last=False)[1])
+            victim = cache_set.popitem(last=False)[1]
+            self._evicted(victim)
 
         block = CacheBlock(
             block_addr=block_addr,
@@ -213,7 +207,7 @@ class Cache:
             self.stats.prefetch_fills += 1
         else:
             self.stats.demand_fills += 1
-        return eviction
+        return victim
 
     def invalidate(self, block_addr: int) -> bool:
         """Remove a block (used for coherence-like invalidations in tests)."""
@@ -226,7 +220,7 @@ class Cache:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _evicted(self, block: CacheBlock) -> EvictionInfo:
+    def _evicted(self, block: CacheBlock) -> None:
         """Account for ``block`` having left its set; notify the listener."""
         self.stats.evictions += 1
         if block.dirty:
@@ -236,15 +230,8 @@ class Cache:
                 self.stats.useful_prefetch_evictions += 1
             else:
                 self.stats.useless_prefetch_evictions += 1
-        info = EvictionInfo(
-            block_addr=block.block_addr,
-            was_prefetched=block.prefetched,
-            prefetch_was_useful=block.prefetch_useful,
-            was_dirty=block.dirty,
-        )
         if self._eviction_listener is not None:
-            self._eviction_listener(info)
-        return info
+            self._eviction_listener(block)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -31,7 +31,7 @@ from typing import Optional
 from repro.common.addresses import block_address
 from repro.common.config import SystemConfig
 from repro.common.types import AccessOutcome, MemLevel, RequestSource
-from repro.memory.cache import Cache, EvictionInfo
+from repro.memory.cache import Cache, CacheBlock
 from repro.memory.dram import DRAMModel
 from repro.memory.paging import PageTable
 from repro.predictors.base import (
@@ -45,23 +45,6 @@ from repro.prefetchers.base import (
     PrefetchFilter,
     PrefetchRequest,
 )
-
-
-@dataclass(slots=True)
-class PrefetchRecord:
-    """Tracking record for one issued L1D prefetch.
-
-    Used to attribute prefetch accuracy (Figures 5, 6 and 12) and to train
-    SLP: ``served_by`` says where the prefetch was served from, ``useful``
-    is resolved when the block is either demanded (True) or evicted unused
-    (False).
-    """
-
-    block_addr: int
-    served_by: MemLevel
-    issue_cycle: int
-    useful: Optional[bool] = None
-    filter_metadata: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -157,8 +140,11 @@ class MemoryHierarchy:
         # backlog exceeds this many cycles, modelling ChampSim's finite
         # prefetch queues (prefetchers cannot swamp a saturated channel).
         self._prefetch_drop_queue_cycles = 8 * self.shared.dram.cycles_per_transaction
-        # Pending prefetch accuracy/training records keyed by block address.
-        self._pending_l1d_prefetches: dict[int, PrefetchRecord] = {}
+        # Issued L1D prefetches not yet resolved as useful (demanded) or
+        # useless (evicted unused, overwritten, or left at the end): block
+        # address -> the level that served the prefetch, which attributes
+        # the accuracy (Figures 5, 6 and 12).
+        self._pending_l1d_prefetches: dict[int, MemLevel] = {}
         # PPF training metadata for blocks prefetched into L2/LLC by SPP.
         self._pending_l2c_prefetches: dict[int, dict] = {}
 
@@ -432,12 +418,7 @@ class MemoryHierarchy:
         previous = self._pending_l1d_prefetches.get(block)
         if previous is not None:
             self._finalize_l1d_prefetch(previous, useful=False)
-        self._pending_l1d_prefetches[block] = PrefetchRecord(
-            block_addr=block,
-            served_by=served_by,
-            issue_cycle=cycle,
-            filter_metadata=filter_metadata,
-        )
+        self._pending_l1d_prefetches[block] = served_by
 
     def _fetch_for_prefetch(
         self, block: int, cycle: int, source: RequestSource
@@ -471,27 +452,26 @@ class MemoryHierarchy:
         return MemLevel.DRAM, latency
 
     def _resolve_l1d_prefetch_use(self, block: int) -> None:
-        record = self._pending_l1d_prefetches.pop(block, None)
-        if record is None:
+        served_by = self._pending_l1d_prefetches.pop(block, None)
+        if served_by is None:
             return
-        self._finalize_l1d_prefetch(record, useful=True)
+        self._finalize_l1d_prefetch(served_by, useful=True)
 
-    def _finalize_l1d_prefetch(self, record: PrefetchRecord, useful: bool) -> None:
-        record.useful = useful
+    def _finalize_l1d_prefetch(self, served_by: MemLevel, useful: bool) -> None:
         if useful:
             self.stats.useful_l1d_prefetches += 1
-            self.stats.accurate_prefetch_source[record.served_by] += 1
+            self.stats.accurate_prefetch_source[served_by] += 1
         else:
             self.stats.useless_l1d_prefetches += 1
-            self.stats.inaccurate_prefetch_source[record.served_by] += 1
+            self.stats.inaccurate_prefetch_source[served_by] += 1
 
-    def _on_l1d_eviction(self, info: EvictionInfo) -> None:
-        if not info.was_prefetched:
+    def _on_l1d_eviction(self, victim: CacheBlock) -> None:
+        if not victim.prefetched:
             return
-        record = self._pending_l1d_prefetches.pop(info.block_addr, None)
-        if record is None:
+        served_by = self._pending_l1d_prefetches.pop(victim.block_addr, None)
+        if served_by is None:
             return
-        self._finalize_l1d_prefetch(record, useful=info.prefetch_was_useful)
+        self._finalize_l1d_prefetch(served_by, useful=victim.prefetch_useful)
 
     # ------------------------------------------------------------------
     # L2 prefetch path (SPP + PPF)
@@ -559,10 +539,10 @@ class MemoryHierarchy:
             return
         self.l2_prefetch_filter.train(metadata, True)
 
-    def _on_l2c_eviction(self, info: EvictionInfo) -> None:
-        if not info.was_prefetched or info.prefetch_was_useful:
+    def _on_l2c_eviction(self, victim: CacheBlock) -> None:
+        if not victim.prefetched or victim.prefetch_useful:
             return
-        metadata = self._pending_l2c_prefetches.pop(info.block_addr, None)
+        metadata = self._pending_l2c_prefetches.pop(victim.block_addr, None)
         if metadata is None or self.l2_prefetch_filter is None:
             return
         self.l2_prefetch_filter.train(metadata, False)
@@ -592,8 +572,8 @@ class MemoryHierarchy:
         Blocks that were prefetched but never demanded count as inaccurate,
         matching the conservative accounting used in the paper's analysis.
         """
-        for record in list(self._pending_l1d_prefetches.values()):
-            self._finalize_l1d_prefetch(record, useful=False)
+        for served_by in self._pending_l1d_prefetches.values():
+            self._finalize_l1d_prefetch(served_by, useful=False)
         self._pending_l1d_prefetches.clear()
 
     # ------------------------------------------------------------------

@@ -16,11 +16,12 @@ The features are computed from a :class:`FeatureContext`; the
 :class:`FeatureHistory` helper maintains the state they need (page buffer for
 the first-access bit, last-4 load PC history).
 
-Feature extraction sits on the per-access hot path (one context per demand
-load per predictor), so :class:`FeatureContext` is a ``__slots__`` class and
-each :class:`FeatureHistory` reuses a single instance instead of allocating
-one per access.  The last-4 PC tuple and its folded hash are cached and only
-invalidated by :meth:`FeatureHistory.observe`.
+The context and the per-feature extractors are the general, reference form
+(:meth:`repro.predictors.perceptron.HashedPerceptron.predict`).  The
+predictors' hot path does not build contexts: :meth:`FeatureHistory.advance`
+hands out the raw first-access bit and last-PC tuple while observing the
+access, and :func:`repro.predictors.perceptron.table_one_kernel` turns them,
+with the PC and address, into table indices straight-line.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ from repro.common.addresses import (
     page_number,
 )
 from repro.common.hashing import hash_combine
-
-#: PC-history windows repeat heavily (loops), so their folded hash is
-#: memoized; the cap bounds the memo for PC-rich workloads.
-_PCS_HASH_MEMO_LIMIT = 1 << 16
 
 
 class FeatureContext:
@@ -125,33 +122,14 @@ def _pc_xor_byte_offset(ctx: FeatureContext) -> int:
     return ctx.pc ^ (block_offset(ctx.address) << 2)
 
 
-# The combined-hash features have small input domains (a PC plus one bit, or
-# a 6-bit offset plus one bit), so their hash_combine results are memoized in
-# module-level tables shared by all predictor instances (the hashes are pure
-# functions of the inputs).
-_PC_FIRST_MEMO: dict[int, int] = {}
-_OFFSET_FIRST_MEMO: dict[int, int] = {}
-_FLP_OFFSET_MEMO: dict[int, int] = {}
-
-
 def _pc_plus_first_access(ctx: FeatureContext) -> int:
-    key = (ctx.pc << 1) | (1 if ctx.first_access else 0)
-    value = _PC_FIRST_MEMO.get(key)
-    if value is None:
-        if len(_PC_FIRST_MEMO) >= _PCS_HASH_MEMO_LIMIT:
-            _PC_FIRST_MEMO.clear()
-        value = hash_combine(ctx.pc, int(ctx.first_access))
-        _PC_FIRST_MEMO[key] = value
-    return value
+    return hash_combine(ctx.pc, int(ctx.first_access))
 
 
 def _offset_plus_first_access(ctx: FeatureContext) -> int:
-    key = (cacheline_offset_in_page(ctx.address) << 1) | (1 if ctx.first_access else 0)
-    value = _OFFSET_FIRST_MEMO.get(key)
-    if value is None:
-        value = hash_combine(key >> 1, key & 1)
-        _OFFSET_FIRST_MEMO[key] = value
-    return value
+    return hash_combine(
+        cacheline_offset_in_page(ctx.address), int(ctx.first_access)
+    )
 
 
 def _last_four_load_pcs(ctx: FeatureContext) -> int:
@@ -159,12 +137,9 @@ def _last_four_load_pcs(ctx: FeatureContext) -> int:
 
 
 def _flp_prediction_plus_offset(ctx: FeatureContext) -> int:
-    key = (cacheline_offset_in_page(ctx.address) << 1) | (1 if ctx.flp_prediction else 0)
-    value = _FLP_OFFSET_MEMO.get(key)
-    if value is None:
-        value = hash_combine(key & 1, key >> 1)
-        _FLP_OFFSET_MEMO[key] = value
-    return value
+    return hash_combine(
+        int(ctx.flp_prediction), cacheline_offset_in_page(ctx.address)
+    )
 
 
 #: Per-feature weight-table sizes chosen so that the total weight storage of
@@ -177,6 +152,19 @@ _DEFAULT_TABLE_ENTRIES = {
     "last_four_load_pcs": 1024,
     "flp_prediction_plus_offset": 128,
 }
+
+
+#: Names of the five legacy Hermes features, in Table I order.
+LEGACY_FEATURE_NAMES = (
+    "pc_xor_cacheline_offset",
+    "pc_xor_byte_offset",
+    "pc_plus_first_access",
+    "offset_plus_first_access",
+    "last_four_load_pcs",
+)
+
+#: Name of SLP's leveling feature (always last in :func:`slp_features`).
+LEVELING_FEATURE_NAME = "flp_prediction_plus_offset"
 
 
 def legacy_hermes_features(
@@ -192,17 +180,16 @@ def legacy_hermes_features(
     def entries(name: str) -> int:
         return table_entries if table_entries is not None else _DEFAULT_TABLE_ENTRIES[name]
 
+    extractors = (
+        _pc_xor_cacheline_offset,
+        _pc_xor_byte_offset,
+        _pc_plus_first_access,
+        _offset_plus_first_access,
+        _last_four_load_pcs,
+    )
     return [
-        FeatureSpec("pc_xor_cacheline_offset", _pc_xor_cacheline_offset,
-                    entries("pc_xor_cacheline_offset"), weight_bits),
-        FeatureSpec("pc_xor_byte_offset", _pc_xor_byte_offset,
-                    entries("pc_xor_byte_offset"), weight_bits),
-        FeatureSpec("pc_plus_first_access", _pc_plus_first_access,
-                    entries("pc_plus_first_access"), weight_bits),
-        FeatureSpec("offset_plus_first_access", _offset_plus_first_access,
-                    entries("offset_plus_first_access"), weight_bits),
-        FeatureSpec("last_four_load_pcs", _last_four_load_pcs,
-                    entries("last_four_load_pcs"), weight_bits),
+        FeatureSpec(name, extractor, entries(name), weight_bits)
+        for name, extractor in zip(LEGACY_FEATURE_NAMES, extractors)
     ]
 
 
@@ -213,10 +200,10 @@ def leveling_feature(
     entries = (
         table_entries
         if table_entries is not None
-        else _DEFAULT_TABLE_ENTRIES["flp_prediction_plus_offset"]
+        else _DEFAULT_TABLE_ENTRIES[LEVELING_FEATURE_NAME]
     )
     return FeatureSpec(
-        "flp_prediction_plus_offset",
+        LEVELING_FEATURE_NAME,
         _flp_prediction_plus_offset,
         entries,
         weight_bits,
@@ -250,8 +237,6 @@ class FeatureHistory:
         self._pc_history: deque[int] = deque(maxlen=pc_history_length)
         # Cached view of the PC history, invalidated by observe().
         self._pcs_tuple: Optional[tuple[int, ...]] = None
-        self._pcs_hash: Optional[int] = None
-        self._pcs_hash_memo: dict[tuple[int, ...], int] = {}
         # One reusable context per history: the extractors consume it
         # synchronously inside predict(), so no per-access allocation is
         # needed.
@@ -259,17 +244,32 @@ class FeatureHistory:
 
     def observe(self, pc: int, address: int) -> None:
         """Record an access so future contexts see updated history."""
-        page = page_number(address)
+        self.advance(pc, address)
+
+    def advance(self, pc: int, address: int) -> tuple[bool, tuple[int, ...]]:
+        """Observe an access; return the history it was predicted from.
+
+        Returns ``(first_access, last_load_pcs)`` as :meth:`context` would
+        have carried them for this access, then records the access like
+        :meth:`observe`.  This is the predictors' per-access path: one call,
+        no context object.
+        """
+        page = address >> 12  # page_number(), inlined
         page_buffer = self._page_buffer
         if page in page_buffer:
+            first_access = False
             page_buffer.move_to_end(page)
         else:
+            first_access = True
             page_buffer[page] = None
             if len(page_buffer) > self.page_buffer_entries:
                 page_buffer.popitem(last=False)
+        pcs = self._pcs_tuple
+        if pcs is None:
+            pcs = tuple(self._pc_history)
         self._pc_history.append(pc)
         self._pcs_tuple = None
-        self._pcs_hash = None
+        return first_access, pcs
 
     def is_first_access(self, address: int) -> bool:
         """True when the page of ``address`` is not in the page buffer."""
@@ -280,19 +280,6 @@ class FeatureHistory:
         if pcs is None:
             pcs = self._pcs_tuple = tuple(self._pc_history)
         return pcs
-
-    def _current_pcs_hash(self, pcs: tuple[int, ...]) -> int:
-        folded = self._pcs_hash
-        if folded is None:
-            memo = self._pcs_hash_memo
-            folded = memo.get(pcs)
-            if folded is None:
-                if len(memo) >= _PCS_HASH_MEMO_LIMIT:
-                    memo.clear()
-                folded = hash_combine(*pcs) if pcs else 0
-                memo[pcs] = folded
-            self._pcs_hash = folded
-        return folded
 
     def context(
         self, pc: int, address: int, flp_prediction: bool = False
@@ -309,7 +296,7 @@ class FeatureHistory:
         ctx.first_access = page_number(address) not in self._page_buffer
         ctx.last_load_pcs = pcs
         ctx.flp_prediction = flp_prediction
-        ctx._pcs_hash = self._current_pcs_hash(pcs)
+        ctx._pcs_hash = None
         return ctx
 
     def reset(self) -> None:
@@ -317,8 +304,6 @@ class FeatureHistory:
         self._page_buffer.clear()
         self._pc_history.clear()
         self._pcs_tuple = None
-        self._pcs_hash = None
-        self._pcs_hash_memo.clear()
 
     def storage_bits(self, page_tag_bits: int = 36) -> int:
         """Approximate storage of the page buffer, in bits."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.predictors.base import OffChipAction, OffChipDecision, OffChipPredictor
 from repro.predictors.features import FeatureHistory, legacy_hermes_features
-from repro.predictors.perceptron import HashedPerceptron
+from repro.predictors.perceptron import HashedPerceptron, table_one_kernel
 
 
 class HermesPredictor(OffChipPredictor):
@@ -36,14 +36,16 @@ class HermesPredictor(OffChipPredictor):
             training_threshold=training_threshold,
         )
         self.history = FeatureHistory(page_buffer_entries=page_buffer_entries)
+        self._kernel = table_one_kernel(self.perceptron)
         #: Last binary prediction, exposed so a downstream prefetch filter
         #: (SLP) can use it as a feature for prefetches triggered by this load.
         self.last_prediction = False
 
     def predict(self, pc: int, vaddr: int, cycle: int) -> OffChipDecision:
-        context = self.history.context(pc, vaddr)
-        confidence, indices = self.perceptron.predict(context)
-        self.history.observe(pc, vaddr)
+        first_access, last_pcs = self.history.advance(pc, vaddr)
+        confidence, indices = self._kernel(
+            pc, vaddr, first_access, last_pcs, False
+        )
         predicted_offchip = confidence >= self.activation_threshold
         self.last_prediction = predicted_offchip
         action = OffChipAction.IMMEDIATE if predicted_offchip else OffChipAction.NONE

@@ -7,30 +7,38 @@ increments or decrements them following the standard perceptron update rule
 with a training threshold (weights stop moving once the prediction is both
 correct and confident).
 
-The prediction path is the hottest code in the simulator (every demand load
-and every prefetch candidate consults a perceptron), so the implementation
-precomputes per-feature index widths at construction time and memoizes the
-``feature value -> table index`` hash per feature.  Feature values repeat
-heavily across a trace (loads in loops see the same PCs and offsets), so the
-memo turns most predictions into dictionary lookups while remaining
-bit-identical to the direct hash computation.
+:meth:`HashedPerceptron.predict` is the general, extractor-driven form: it
+runs each :class:`~repro.predictors.features.FeatureSpec` extractor over a
+:class:`~repro.predictors.features.FeatureContext` and memoizes the
+``feature value -> table index`` hash per feature.  It is the reference the
+tests pin.  The per-access paths -- Hermes/FLP ``predict`` on each demand
+load of the object hierarchy, SLP ``consult_step`` on each L1D prefetch
+candidate -- instead call the kernel returned by :func:`table_one_kernel`:
+the Table I features (plus SLP's leveling feature) computed straight-line
+over raw ints, each index memoized on its raw key, so no context object and
+no per-feature call is involved.  Both forms select the same indices and sum
+the same weights.
 
-Weight storage is one flat numpy ``int32`` buffer.  The scalar path indexes
-it through per-feature :class:`memoryview` rows (plain-int reads and writes,
-as fast as the previous ``array('i')`` rows), while the batch simulator core
-gathers and scatters whole index columns through the numpy views returned by
-:meth:`HashedPerceptron.weight_views` -- both paths share the same storage,
-so there is nothing to synchronize.
+Weight storage is one flat numpy ``int32`` buffer.  Each feature's table is
+a :class:`memoryview` row of it (plain-int reads and writes); the batch
+simulator core reads and writes the same rows, so there is nothing to
+synchronize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from repro.common.hashing import table_index
-from repro.predictors.features import FeatureContext, FeatureSpec
+from repro.common.hashing import hash_combine, table_index
+from repro.predictors.features import (
+    LEGACY_FEATURE_NAMES,
+    LEVELING_FEATURE_NAME,
+    FeatureContext,
+    FeatureSpec,
+)
 
 #: Per-feature memo entries kept before the memo is cleared.  Feature values
 #: come from hashes of PCs and addresses, so a trace touches a bounded set;
@@ -70,8 +78,7 @@ class HashedPerceptron:
         self.training_threshold = training_threshold
         # All weights live in one flat int32 buffer; each feature's table is
         # a zero-copy memoryview slice of it.  Memoryview subscripts return
-        # plain Python ints (keeping the fused scalar loop cheap) while the
-        # numpy views over the same memory serve the batch gather path.
+        # plain Python ints, keeping the per-access loops cheap.
         offsets = [0]
         for spec in self.features:
             offsets.append(offsets[-1] + spec.table_entries)
@@ -79,10 +86,6 @@ class HashedPerceptron:
         buffer = memoryview(self._weights)
         self._tables: list[memoryview] = [
             buffer[offsets[i]:offsets[i + 1]] for i in range(len(self.features))
-        ]
-        self._views: list[np.ndarray] = [
-            self._weights[offsets[i]:offsets[i + 1]]
-            for i in range(len(self.features))
         ]
         self._weight_limits: list[tuple[int, int]] = []
         for spec in self.features:
@@ -125,17 +128,6 @@ class HashedPerceptron:
             total += table[index]
         return total, indices
 
-    def indices_for(self, context: FeatureContext) -> list[int]:
-        """Compute the weight-table index selected by each feature."""
-        return self._compute(context)[1]
-
-    def confidence(self, indices: list[int]) -> int:
-        """Sum the weights selected by ``indices``."""
-        total = 0
-        for table, index in zip(self._tables, indices):
-            total += table[index]
-        return total
-
     def predict(self, context: FeatureContext) -> tuple[int, list[int]]:
         """Return ``(confidence, indices)`` for a feature context."""
         total, indices = self._compute(context)
@@ -144,60 +136,6 @@ class HashedPerceptron:
         if total >= 0:
             stats.positive_predictions += 1
         return total, indices
-
-    # ------------------------------------------------------------------
-    # Batch prediction/training (chunked simulator core)
-    # ------------------------------------------------------------------
-    def weight_views(self) -> list[np.ndarray]:
-        """Per-feature numpy int32 views over the shared weight buffer.
-
-        Writes through the scalar path (:meth:`train`) are immediately
-        visible here and vice versa -- the views alias the same memory.
-        """
-        return list(self._views)
-
-    def predict_batch(self, index_columns: list[np.ndarray]) -> np.ndarray:
-        """Vectorized confidence for a batch of precomputed index rows.
-
-        ``index_columns`` holds one integer array per feature (all the same
-        length); the result is the per-row weight sum, exactly what
-        sequential :meth:`confidence` calls would return **for the current
-        weights**.  Because weights move with every training event, this is
-        only bit-equivalent to the sequential path over spans with no
-        interleaved training; the fused batch core therefore uses it for
-        read-only scoring and keeps training sequential.
-
-        Does not touch the prediction counters; callers that need them
-        account for the batch in one shot.
-        """
-        if len(index_columns) != len(self._views):
-            raise ValueError(
-                f"expected {len(self._views)} index columns, "
-                f"got {len(index_columns)}"
-            )
-        total = np.zeros(len(index_columns[0]), dtype=np.int64)
-        for view, indices in zip(self._views, index_columns):
-            total += view[np.asarray(indices, dtype=np.intp)]
-        return total
-
-    def train_batch(
-        self,
-        index_columns: list[np.ndarray],
-        targets: np.ndarray,
-        confidences: np.ndarray,
-    ) -> None:
-        """Apply the update rule to a batch of (indices, target, confidence).
-
-        Saturating increments are order sensitive when rows share a table
-        index, so the updates are applied in row order -- bit-identical to
-        sequential :meth:`train` calls (a blind scatter-add followed by a
-        clip would not be).
-        """
-        rows = zip(*[np.asarray(col).tolist() for col in index_columns])
-        targets = np.asarray(targets).tolist()
-        confidences = np.asarray(confidences).tolist()
-        for indices, target, confidence in zip(rows, targets, confidences):
-            self.train(list(indices), bool(target), int(confidence))
 
     # ------------------------------------------------------------------
     # Training
@@ -244,8 +182,8 @@ class HashedPerceptron:
     def reset(self) -> None:
         """Zero every weight and clear statistics.
 
-        The flat buffer is zeroed in place so the memoryview rows and numpy
-        views held by the fused prediction plan stay valid.
+        The flat buffer is zeroed in place so the memoryview rows held by
+        the prediction plan and the raw kernels stay valid.
         """
         self._weights[:] = 0
         self.stats = PerceptronStats()
@@ -260,3 +198,109 @@ class HashedPerceptron:
                 if weight in (minimum, maximum):
                     saturated += 1
         return saturated / total if total else 0.0
+
+
+# ----------------------------------------------------------------------
+# Raw-int kernel for the Table I feature layout
+# ----------------------------------------------------------------------
+def _memo_index(memo: dict, key, value: int, bits: int, entries: int) -> int:
+    """Hash ``value`` to its table index and memoize it under ``key``."""
+    if len(memo) >= _INDEX_MEMO_LIMIT:
+        memo.clear()
+    index = memo[key] = table_index(value, bits) % entries
+    return index
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(swap: bool, bits: int, entries: int) -> list[int]:
+    """Indices of the 128 ``(offset << 1) | bit`` keys of a two-part feature.
+
+    ``hash_combine(offset, bit)`` for offset+first-access and, with
+    ``swap``, ``hash_combine(bit, offset)`` for the leveling feature: the
+    key domain is tiny, so the whole memo is built up front, once per table
+    shape, and shared read-only by every kernel.
+    """
+    return [
+        table_index(
+            hash_combine(key & 1, key >> 1) if swap
+            else hash_combine(key >> 1, key & 1),
+            bits,
+        ) % entries
+        for key in range(128)
+    ]
+
+
+def table_one_kernel(perceptron: HashedPerceptron):
+    """Raw-int prediction kernel for a perceptron over the Table I features.
+
+    Returns ``kernel(pc, address, first_access, last_pcs, flp_prediction)
+    -> (confidence, indices)``, equal to ``perceptron.predict(context)`` for
+    a context carrying the same five inputs (and bumping the same two
+    prediction counters).  The perceptron must hold the five legacy Hermes
+    features, optionally followed by the leveling feature (SLP); any table
+    sizes are accepted.  ``flp_prediction`` is ignored without the leveling
+    feature.
+
+    The indices are computed straight-line and each one is memoized on its
+    raw key -- ``(pc << 1) | first_access`` rather than its
+    ``hash_combine`` value, the last-PC tuple rather than its folded hash
+    -- so a memo hit costs no hashing at all.
+    """
+    names = tuple(spec.name for spec in perceptron.features)
+    leveled = names == LEGACY_FEATURE_NAMES + (LEVELING_FEATURE_NAME,)
+    if names != LEGACY_FEATURE_NAMES and not leveled:
+        raise ValueError(f"not the Table I feature layout: {names}")
+    widths = [(bits, entries) for _, bits, entries, _, _ in perceptron._plan]
+    (b0, e0), (b1, e1), (b2, e2), (b3, e3), (b4, e4) = widths[:5]
+    t0, t1, t2, t3, t4 = perceptron._tables[:5]
+    m0: dict[int, int] = {}
+    m1: dict[int, int] = {}
+    m2: dict[int, int] = {}
+    m4: dict[tuple[int, ...], int] = {}
+    offset_first = _pair_indices(False, b3, e3)
+    if leveled:
+        flp_offset = _pair_indices(True, *widths[5])
+        t5 = perceptron._tables[5]
+
+    def kernel(
+        pc: int,
+        address: int,
+        first_access: bool,
+        last_pcs: tuple[int, ...],
+        flp_prediction: bool,
+    ) -> tuple[int, list[int]]:
+        offset = (address >> 6) & 63
+        first = 1 if first_access else 0
+        key = pc ^ (offset << 2)
+        i0 = m0.get(key)
+        if i0 is None:
+            i0 = _memo_index(m0, key, key, b0, e0)
+        key = pc ^ ((address & 63) << 2)
+        i1 = m1.get(key)
+        if i1 is None:
+            i1 = _memo_index(m1, key, key, b1, e1)
+        key = (pc << 1) | first
+        i2 = m2.get(key)
+        if i2 is None:
+            i2 = _memo_index(m2, key, hash_combine(pc, first), b2, e2)
+        i3 = offset_first[(offset << 1) | first]
+        i4 = m4.get(last_pcs)
+        if i4 is None:
+            i4 = _memo_index(
+                m4, last_pcs, hash_combine(*last_pcs) if last_pcs else 0,
+                b4, e4,
+            )
+        confidence = t0[i0] + t1[i1] + t2[i2] + t3[i3] + t4[i4]
+        if leveled:
+            i5 = flp_offset[(offset << 1) | (1 if flp_prediction else 0)]
+            confidence += t5[i5]
+            indices = [i0, i1, i2, i3, i4, i5]
+        else:
+            indices = [i0, i1, i2, i3, i4]
+        stats = perceptron.stats
+        stats.predictions += 1
+        if confidence >= 0:
+            stats.positive_predictions += 1
+        return confidence, indices
+
+    return kernel

@@ -4,8 +4,8 @@ The scalar reference path steps one trace record at a time through
 :meth:`repro.cpu.core.CoreRunner.run_trace`, calling
 :meth:`repro.memory.hierarchy.MemoryHierarchy.demand_access` per memory
 record.  That per-record call chain (core -> hierarchy -> predictor ->
-feature extractors -> hash memos -> cache -> DRAM) is the dominant
-simulation cost now that traces are columnar.
+feature kernel -> cache -> DRAM) is the dominant simulation cost now that
+traces are columnar.
 
 This module restructures the hot path around trace *chunks*:
 
@@ -32,9 +32,13 @@ This module restructures the hot path around trace *chunks*:
    ``begin_batch``/``step_batch`` kernels -- per-chunk numpy precompute
    plus a thin order-dependent step -- and the loop drives SPP lookahead
    walks (``SPPPrefetcher.step``), PPF and SLP filter consults/training
-   (``consult_step``/``train_step``) and cache fills (via
-   :func:`_make_inline_fill`, a positional ``Cache.fill`` clone)
-   without crossing the per-request object boundary.  The object
+   (``consult_step``/``train_step``; SLP scores with the raw-int
+   :func:`~repro.predictors.perceptron.table_one_kernel`) and cache fills
+   (via :func:`_make_inline_fill`, a positional ``Cache.fill`` clone)
+   without crossing the per-request object boundary: no request,
+   decision, feature-context or tracking-record objects per candidate, the
+   victim block itself goes to the eviction listener, and the
+   pending-prefetch map stores the serving level.  The object
    implementations stay the pinned bit-identical reference; unrecognised
    prefetcher/filter combinations keep the object-call path inside the
    fused loop.
@@ -68,10 +72,11 @@ from repro.common.types import MemLevel, RequestSource
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
 from repro.cpu.core import CoreRunner
-from repro.memory.cache import Cache, CacheBlock, EvictionInfo
-from repro.memory.hierarchy import MemoryHierarchy, PrefetchRecord
+from repro.memory.cache import Cache, CacheBlock
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import tracer as obs_tracer
 from repro.predictors.base import NullOffChipPredictor
+from repro.predictors.features import LEGACY_FEATURE_NAMES
 from repro.predictors.hermes import HermesPredictor
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
@@ -84,15 +89,6 @@ _LOG = logging.getLogger("repro.sim.batch")
 #: Records per fused chunk.  Large enough to amortize the vectorized
 #: precompute, small enough to keep the index columns cache-resident.
 DEFAULT_CHUNK_RECORDS = 8192
-
-#: Feature layout the vectorized precompute reproduces (Table I order).
-_LEGACY_FEATURE_NAMES = (
-    "pc_xor_cacheline_offset",
-    "pc_xor_byte_offset",
-    "pc_plus_first_access",
-    "offset_plus_first_access",
-    "last_four_load_pcs",
-)
 
 _PK_NULL = 0
 _PK_HERMES = 1
@@ -120,7 +116,7 @@ def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
         return None
     if type(predictor) in (HermesPredictor, FirstLevelPerceptron):
         names = tuple(spec.name for spec in predictor.perceptron.features)
-        if names != _LEGACY_FEATURE_NAMES:
+        if names != LEGACY_FEATURE_NAMES:
             return (
                 f"off-chip predictor {type(predictor).__name__}:"
                 " non-standard feature set"
@@ -208,7 +204,6 @@ def _precompute_offchip_indices(
         )
     history._pc_history.extend(pcs.tolist())
     history._pcs_tuple = None
-    history._pcs_hash = None
 
     # Feature values (Table I) and their table indices.
     upcs = pcs.astype(np.uint64)
@@ -236,9 +231,8 @@ def _make_inline_fill(cache: Cache):
     ``dirty`` -- which is every fill the fused loop drives (demand fills
     and prefetch fills; writes dirty blocks via the lookup path, not
     fills).  Identical arithmetic and update order to
-    ``Cache.fill`` + ``Cache._evicted``; the only shortcut is skipping the
-    :class:`EvictionInfo` allocation when the cache has no eviction
-    listener to observe it.
+    ``Cache.fill`` + ``Cache._evicted``: the eviction listener, if any,
+    gets the victim block itself, so an eviction allocates nothing.
     """
     sets = cache._sets
     num_sets = cache.num_sets
@@ -265,7 +259,7 @@ def _make_inline_fill(cache: Cache):
                 existing.ready_cycle = ready_cycle
             return
         if len(cache_set) >= associativity:
-            victim_addr, victim = cache_set.popitem(last=False)
+            victim = cache_set.popitem(last=False)[1]
             stats.evictions += 1
             if victim.dirty:
                 stats.writebacks += 1
@@ -275,14 +269,7 @@ def _make_inline_fill(cache: Cache):
                 else:
                     stats.useless_prefetch_evictions += 1
             if listener is not None:
-                listener(
-                    EvictionInfo(
-                        block_addr=victim_addr,
-                        was_prefetched=victim.prefetched,
-                        prefetch_was_useful=victim.prefetch_useful,
-                        was_dirty=victim.dirty,
-                    )
-                )
+                listener(victim)
         # Positional CacheBlock args in field order: block_addr, valid,
         # dirty, prefetched, prefetch_useful, prefetch_source_level,
         # fill_cycle, ready_cycle.
@@ -733,11 +720,7 @@ def run_core_trace_batched(
                             previous = pending_l1.get(tblock)
                             if previous is not None:
                                 finalize_l1(previous, False)
-                            pending_l1[tblock] = PrefetchRecord(
-                                block_addr=tblock,
-                                served_by=served_level,
-                                issue_cycle=cycle,
-                            )
+                            pending_l1[tblock] = served_level
                 elif on_demand_access is not None:
                     # Serialization point: object call for prefetcher types
                     # the fused path does not model.

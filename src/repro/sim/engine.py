@@ -51,7 +51,7 @@ from repro.common.config import (
     cascade_lake_multi_core,
     cascade_lake_single_core,
     system_config_from_dict,
-    system_config_to_dict,
+    system_json,
 )
 from repro.sim.multi_core import MultiCoreResult, run_multicore_mix
 from repro.sim.result_cache import ResultCache
@@ -125,13 +125,22 @@ class CampaignPoint:
         return f"{target}/{self.scheme}/{self.l1d_prefetcher}"
 
     def key(self) -> str:
-        """Content-hash cache key of this point."""
-        payload = asdict(self)
-        if payload.get("trace_keys") is None:
-            payload.pop("trace_keys", None)
-        payload["schema"] = CACHE_SCHEMA_VERSION
-        canonical = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
+        """Content-hash cache key of this point.
+
+        Computed once: the point is frozen, so the key is kept on the
+        instance (outside the dataclass fields, so it never enters
+        ``asdict``, equality or the key payload itself).
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            payload = asdict(self)
+            if payload.get("trace_keys") is None:
+                payload.pop("trace_keys", None)
+            payload["schema"] = CACHE_SCHEMA_VERSION
+            canonical = json.dumps(payload, sort_keys=True)
+            key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 def point_from_dict(payload: dict) -> CampaignPoint:
@@ -193,7 +202,7 @@ def single_core_point(
         memory_accesses=memory_accesses,
         warmup_fraction=warmup_fraction,
         gap_scale=gap_scale,
-        system_json=json.dumps(system_config_to_dict(resolved), sort_keys=True),
+        system_json=system_json(resolved),
         trace_keys=imported_trace_keys((workload,), trace_store),
     )
 
@@ -260,7 +269,7 @@ def multi_core_point(
         memory_accesses=memory_accesses,
         warmup_fraction=warmup_fraction,
         gap_scale=gap_scale,
-        system_json=json.dumps(system_config_to_dict(system), sort_keys=True),
+        system_json=system_json(system),
         mix_name=mix_name,
         trace_keys=imported_trace_keys(workloads, trace_store),
     )

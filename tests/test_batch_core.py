@@ -42,8 +42,6 @@ from repro.common.hashing import (
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import tracer
-from repro.predictors.features import FeatureSpec
-from repro.predictors.perceptron import HashedPerceptron
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import SPPPrefetcher
@@ -433,59 +431,6 @@ class TestVectorizedHashing:
         values = self._values()
         expected = [table_index(int(v), bits) for v in values]
         assert table_index_np(values, bits).tolist() == expected
-
-
-class TestPerceptronBatchOps:
-    def _perceptron(self) -> HashedPerceptron:
-        return HashedPerceptron(
-            [
-                FeatureSpec("a", lambda c: c.pc, table_entries=64),
-                FeatureSpec("b", lambda c: c.vaddr, table_entries=100),
-            ],
-            training_threshold=8,
-        )
-
-    def test_predict_batch_matches_confidence(self):
-        perceptron = self._perceptron()
-        rng = np.random.default_rng(3)
-        for view in perceptron.weight_views():
-            view[:] = rng.integers(-15, 16, size=view.shape, dtype=np.int32)
-        columns = [
-            rng.integers(0, 64, size=32, dtype=np.int64),
-            rng.integers(0, 100, size=32, dtype=np.int64),
-        ]
-        got = perceptron.predict_batch(columns)
-        expected = [
-            perceptron.confidence([int(i), int(j)])
-            for i, j in zip(columns[0], columns[1])
-        ]
-        assert got.tolist() == expected
-
-    def test_train_batch_matches_sequential(self):
-        rng = np.random.default_rng(5)
-        columns = [
-            # Deliberately collision-heavy: saturating updates on shared
-            # indices are order sensitive, which is exactly what
-            # train_batch must preserve.
-            rng.integers(0, 4, size=64, dtype=np.int64),
-            rng.integers(0, 4, size=64, dtype=np.int64),
-        ]
-        targets = rng.integers(0, 2, size=64).astype(bool)
-        confidences = rng.integers(-40, 41, size=64, dtype=np.int64)
-
-        batched = self._perceptron()
-        batched.train_batch(columns, targets, confidences)
-        sequential = self._perceptron()
-        for i, j, target, confidence in zip(
-            columns[0], columns[1], targets, confidences
-        ):
-            sequential.train([int(i), int(j)], bool(target), int(confidence))
-
-        for got, expected in zip(
-            batched.weight_views(), sequential.weight_views()
-        ):
-            assert got.tolist() == expected.tolist()
-        assert batched.stats.weight_updates == sequential.stats.weight_updates
 
 
 class TestSimCoreConfig:

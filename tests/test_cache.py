@@ -82,9 +82,15 @@ class TestPrefetchTracking:
         config = CacheConfig("T", 64, 1, 1)
         cache = Cache(config, eviction_listener=seen.append)
         cache.fill(0x1, prefetched=True)
-        cache.fill(0x2)
-        assert len(seen) == 1
-        assert seen[0].was_prefetched
+        cache.lookup(0x1)
+        victim = cache.fill(0x2)
+        # The listener gets the victim block itself, as fill returns it.
+        assert seen == [victim]
+        assert victim.block_addr == 0x1
+        assert victim.prefetched and victim.prefetch_useful
+        cache.fill(0x3)
+        assert [block.block_addr for block in seen] == [0x1, 0x2]
+        assert not seen[1].prefetched
 
 
 class TestDirtyAndInvalidate:

@@ -50,6 +50,20 @@ class TestCampaignPoint:
             )
         assert point(3.2).key() != point(1.6).key()
 
+    def test_cached_key_stays_out_of_fields_and_copies(self):
+        import pickle
+
+        point = tiny_point()
+        key = point.key()
+        assert point.key() is key
+        assert "_key" not in dataclasses.asdict(point)
+        assert point == tiny_point()
+        assert pickle.loads(pickle.dumps(point)).key() == key
+        # A modified copy computes its own key, never the cached one.
+        assert dataclasses.replace(point, scheme="tlp").key() == (
+            tiny_point(scheme="tlp").key()
+        )
+
     def test_label(self):
         assert tiny_point().label == "bfs.urand/baseline/ipcp"
 

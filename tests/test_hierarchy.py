@@ -1,8 +1,15 @@
 """Tests for the composed memory hierarchy."""
 
-import pytest
+import dataclasses
 
-from repro.common.config import cascade_lake_multi_core, cascade_lake_single_core
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.common.config import (
+    CacheConfig,
+    cascade_lake_multi_core,
+    cascade_lake_single_core,
+)
 from repro.common.types import MemLevel
 from repro.core.slp import SecondLevelPerceptron
 from repro.core.tlp import TwoLevelPerceptron
@@ -13,6 +20,9 @@ from repro.predictors.base import (
     OffChipPredictor,
 )
 from repro.prefetchers.next_line import NextLinePrefetcher
+from repro.sim.scenarios import build_hierarchy, build_scenario
+from repro.sim.single_core import run_single_core
+from repro.traces.trace import KIND_LOAD, KIND_NON_MEM, KIND_STORE, Trace
 
 
 class ForcedPredictor(OffChipPredictor):
@@ -237,3 +247,76 @@ class TestTLPIntegration:
             hierarchy.demand_access(0x400 + index % 3, 0x20_0000 + index * 0x1000, cycle=index * 50)
         assert hierarchy.stats.demand_loads == 50
         assert tlp.flp.perceptron.stats.predictions == 50
+
+
+# ----------------------------------------------------------------------
+# Prefetch bookkeeping invariants (both simulator cores)
+# ----------------------------------------------------------------------
+@st.composite
+def _strided_trace(draw):
+    """Per-PC strided streams with random jumps over a small region.
+
+    Strides feed IPCP/Berti/SPP (so prefetches are issued); the small
+    region and the jumps make prefetched blocks get demanded, overwritten
+    and evicted unused.
+    """
+    strides = draw(st.lists(st.integers(min_value=-3, max_value=4),
+                            min_size=4, max_size=4))
+    records = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=1023),  # jump target
+            st.sampled_from((KIND_LOAD, KIND_LOAD, KIND_STORE, KIND_NON_MEM)),
+        ),
+        min_size=100,
+        max_size=600,
+    ))
+    cursors = [256 * i for i in range(4)]
+    pcs, vaddrs, kinds = [], [], []
+    for pc_index, target, kind in records:
+        if target % 8 == 0:  # one record in eight jumps
+            cursors[pc_index] = target
+        else:
+            cursors[pc_index] = (cursors[pc_index] + strides[pc_index]) % 1024
+        pcs.append(0x40_0000 + 4 * pc_index)
+        vaddrs.append(0x1000_0000 + 64 * cursors[pc_index] + 8 * pc_index)
+        kinds.append(kind)
+    return Trace.from_columns("strided", pcs, vaddrs, kinds)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    trace=_strided_trace(),
+    core=st.sampled_from(("scalar", "batch")),
+    scheme=st.sampled_from(("baseline", "tlp", "ppf", "hermes_ppf", "slp")),
+    l1d_prefetcher=st.sampled_from(("ipcp", "berti")),
+    l1d_sets=st.sampled_from((1, 2, 4)),
+    l1d_ways=st.sampled_from((1, 2, 4)),
+    l2c_sets=st.sampled_from((4, 8)),
+    llc_sets=st.sampled_from((8, 16)),
+)
+def test_prefetch_bookkeeping_invariants(
+    trace, core, scheme, l1d_prefetcher, l1d_sets, l1d_ways, l2c_sets, llc_sets
+):
+    """Every resolved L1D prefetch is attributed to exactly one serving
+    level, and no more prefetches are resolved than were issued."""
+    system = dataclasses.replace(
+        cascade_lake_single_core(),
+        sim_core=core,
+        l1d=CacheConfig("L1D", l1d_sets * l1d_ways * 64, l1d_ways, 4),
+        l2c=CacheConfig("L2C", l2c_sets * 2 * 64, 2, 10),
+        llc=CacheConfig("LLC", llc_sets * 2 * 64, 2, 36),
+    )
+    scenario = build_scenario(scheme, l1d_prefetcher=l1d_prefetcher)
+    hierarchy = build_hierarchy(scenario, config=system)
+    run_single_core(trace, scenario, config=system, hierarchy=hierarchy)
+
+    stats = hierarchy.stats
+    resolved = stats.useful_l1d_prefetches + stats.useless_l1d_prefetches
+    attributed = (sum(stats.accurate_prefetch_source.values())
+                  + sum(stats.inaccurate_prefetch_source.values()))
+    assert resolved == attributed
+    assert resolved <= stats.l1d_prefetches_issued
+    assert stats.useful_l1d_prefetches == sum(stats.accurate_prefetch_source.values())
+    assert not hierarchy._pending_l1d_prefetches  # finalize() drained it

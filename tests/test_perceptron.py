@@ -1,16 +1,24 @@
 """Tests for the hashed perceptron machinery and feature extraction."""
 
+import dataclasses
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.predictors.perceptron as perceptron_module
+from repro.core.flp import FirstLevelPerceptron
+from repro.core.slp import SecondLevelPerceptron
 from repro.predictors.features import (
     FeatureContext,
     FeatureHistory,
+    FeatureSpec,
     legacy_hermes_features,
     leveling_feature,
     slp_features,
 )
-from repro.predictors.perceptron import HashedPerceptron
+from repro.predictors.hermes import HermesPredictor
+from repro.predictors.perceptron import HashedPerceptron, table_one_kernel
 
 
 def make_context(pc=0x400, address=0x1000, first=False, history=(1, 2, 3, 4), flp=False):
@@ -202,3 +210,122 @@ def test_prediction_confidence_bounded_by_feature_count(pc, address):
     context = make_context(pc=pc, address=address)
     confidence, _ = perceptron.predict(context)
     assert -16 * 6 <= confidence <= 15 * 6
+
+
+# ----------------------------------------------------------------------
+# Raw-int kernel vs the extractor-based reference
+# ----------------------------------------------------------------------
+#: PCs and addresses drawn from small pools repeat (memo hits, page-buffer
+#: hits, recurring last-PC windows); the wide ranges add fresh keys.
+_PCS = st.one_of(
+    st.integers(min_value=0, max_value=15).map(lambda i: 0x40_0000 + 4 * i),
+    st.integers(min_value=0, max_value=2**40),
+)
+_ADDRESSES = st.one_of(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=4095),
+    ).map(lambda parts: 0x1000_0000 + parts[0] * 4096 + parts[1]),
+    st.integers(min_value=0, max_value=2**40),
+)
+_ORACLE_EVENTS = st.lists(
+    st.tuples(_PCS, _ADDRESSES, st.booleans(), st.booleans()),
+    min_size=1,
+    max_size=120,
+)
+
+
+def _kernel_under_test(kind, table_entries):
+    """``(step, perceptron, reference features, leveling)`` for one predictor.
+
+    ``step(pc, address, flp_bit)`` runs the predictor's own hot path and
+    returns ``(confidence, indices)``.
+    """
+    if kind == "flp":
+        predictor = FirstLevelPerceptron(table_entries=table_entries)
+    elif kind == "hermes":
+        predictor = HermesPredictor(table_entries=table_entries)
+    else:
+        predictor = SecondLevelPerceptron(
+            table_entries=table_entries,
+            use_leveling_feature=kind == "slp-leveled",
+        )
+        return (
+            lambda pc, address, flp: predictor.consult_step(pc, address, flp)[1:],
+            predictor.perceptron,
+            slp_features(table_entries),
+            kind == "slp-leveled",
+        )
+
+    def step(pc, address, flp):
+        metadata = predictor.predict(pc, address, 0).metadata
+        return metadata["confidence"], metadata["indices"]
+
+    return step, predictor.perceptron, legacy_hermes_features(table_entries), False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    events=_ORACLE_EVENTS,
+    kind=st.sampled_from(("flp", "hermes", "slp-leveled", "slp-unleveled")),
+    table_entries=st.sampled_from((None, 64, 100, 2048)),
+    memo_limit=st.sampled_from((None, 1, 3)),
+)
+def test_kernel_matches_extractor_predict(events, kind, table_entries, memo_limit):
+    """FLP/Hermes ``predict`` and SLP ``consult_step`` (the raw kernel) select
+    the same indices and sum the same weights as ``HashedPerceptron.predict``
+    over ``FeatureHistory.context``, with or without the leveling feature,
+    at any table size, and across memo clears."""
+    limit = perceptron_module._INDEX_MEMO_LIMIT if memo_limit is None else memo_limit
+    with mock.patch.object(perceptron_module, "_INDEX_MEMO_LIMIT", limit):
+        step, perceptron, features, leveling = _kernel_under_test(kind, table_entries)
+        reference = HashedPerceptron(
+            features, training_threshold=perceptron.training_threshold
+        )
+        history = FeatureHistory()
+        for pc, address, flp, outcome in events:
+            confidence, indices = step(pc, address, flp)
+            context = history.context(pc, address, flp_prediction=flp and leveling)
+            expected = reference.predict(context)
+            history.observe(pc, address)
+            assert (confidence, indices) == expected
+            # Train both on the same outcome so the weights move and the
+            # confidences compared above are not all zero.
+            perceptron.train(indices, outcome, confidence)
+            reference.train(expected[1], outcome, expected[0])
+    assert dataclasses.asdict(perceptron.stats) == dataclasses.asdict(reference.stats)
+    assert perceptron._weights.tolist() == reference._weights.tolist()
+
+
+def test_kernel_memo_clear_keeps_indices():
+    """A memo capped at one entry clears on every miss yet yields the same
+    indices as an uncapped one."""
+    calls = [(0x40_0000 + 4 * (i % 20), 0x2000_0000 + 64 * i) for i in range(200)]
+    capped = HashedPerceptron(slp_features())
+    uncapped = HashedPerceptron(slp_features())
+    capped_kernel = table_one_kernel(capped)
+    uncapped_kernel = table_one_kernel(uncapped)
+    history = FeatureHistory()
+    for pc, address in calls:
+        first, pcs = history.advance(pc, address)
+        with mock.patch.object(perceptron_module, "_INDEX_MEMO_LIMIT", 1):
+            got = capped_kernel(pc, address, first, pcs, True)
+        assert got == uncapped_kernel(pc, address, first, pcs, True)
+
+
+def test_kernel_rejects_other_feature_layouts():
+    with pytest.raises(ValueError):
+        table_one_kernel(HashedPerceptron([FeatureSpec("pc", lambda c: c.pc)]))
+    with pytest.raises(ValueError):
+        table_one_kernel(HashedPerceptron(legacy_hermes_features()[::-1]))
+
+
+def test_advance_matches_context_then_observe():
+    advanced = FeatureHistory(page_buffer_entries=2)
+    observed = FeatureHistory(page_buffer_entries=2)
+    for pc, address in [(1, 0x1000), (2, 0x2000), (3, 0x1000), (4, 0x3000),
+                        (5, 0x2000), (6, 0x1000), (7, 0x1040)]:
+        context = observed.context(pc, address)
+        expected = (context.first_access, context.last_load_pcs)
+        observed.observe(pc, address)
+        assert advanced.advance(pc, address) == expected
