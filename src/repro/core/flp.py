@@ -63,18 +63,23 @@ class FirstLevelPerceptron(OffChipPredictor):
         self.delayed_decisions = 0
         self.negative_decisions = 0
 
-    def predict(self, pc: int, vaddr: int, cycle: int) -> OffChipDecision:
+    def step(
+        self, pc: int, vaddr: int
+    ) -> tuple[OffChipAction, int, list[int]]:
+        """Raw prediction: ``(action, confidence, indices)`` for one load.
+
+        Advances the feature history and the decision counters exactly as
+        :meth:`predict` does; the batch core calls this directly and trains
+        with ``self.perceptron.train(indices, went_offchip, confidence)``.
+        """
         first_access, last_pcs = self.history.advance(pc, vaddr)
         confidence, indices = self._kernel(
             pc, vaddr, first_access, last_pcs, False
         )
-
         if confidence > self.tau_high:
             action = OffChipAction.IMMEDIATE
-            predicted_offchip = True
             self.immediate_decisions += 1
         elif confidence >= self.tau_low:
-            predicted_offchip = True
             if self.selective_delay:
                 action = OffChipAction.DELAYED
                 self.delayed_decisions += 1
@@ -83,13 +88,15 @@ class FirstLevelPerceptron(OffChipPredictor):
                 self.immediate_decisions += 1
         else:
             action = OffChipAction.NONE
-            predicted_offchip = False
             self.negative_decisions += 1
+        self.last_prediction = action is not OffChipAction.NONE
+        return action, confidence, indices
 
-        self.last_prediction = predicted_offchip
+    def predict(self, pc: int, vaddr: int, cycle: int) -> OffChipDecision:
+        action, confidence, indices = self.step(pc, vaddr)
         return OffChipDecision(
             action=action,
-            predicted_offchip=predicted_offchip,
+            predicted_offchip=self.last_prediction,
             confidence=confidence,
             metadata={"indices": indices, "confidence": confidence},
         )

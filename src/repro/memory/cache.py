@@ -81,9 +81,11 @@ class Cache:
     shifted right by 6); callers are responsible for the conversion, which
     keeps the hot path cheap.
 
-    ``eviction_listener``, when given, is called with every victim
-    :class:`CacheBlock` after it has left its set (its fields are final:
-    nothing touches an evicted block again).
+    ``eviction_listener``, when given, is called with every *prefetched*
+    victim :class:`CacheBlock` after it has left its set (its fields are
+    final: nothing touches an evicted block again).  Demand-filled victims
+    are only counted: the listeners resolve prefetch bookkeeping, which a
+    demand block never has.
     """
 
     def __init__(
@@ -230,8 +232,8 @@ class Cache:
                 self.stats.useful_prefetch_evictions += 1
             else:
                 self.stats.useless_prefetch_evictions += 1
-        if self._eviction_listener is not None:
-            self._eviction_listener(block)
+            if self._eviction_listener is not None:
+                self._eviction_listener(block)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -466,8 +466,6 @@ class MemoryHierarchy:
             self.stats.inaccurate_prefetch_source[served_by] += 1
 
     def _on_l1d_eviction(self, victim: CacheBlock) -> None:
-        if not victim.prefetched:
-            return
         served_by = self._pending_l1d_prefetches.pop(victim.block_addr, None)
         if served_by is None:
             return
@@ -540,7 +538,7 @@ class MemoryHierarchy:
         self.l2_prefetch_filter.train(metadata, True)
 
     def _on_l2c_eviction(self, victim: CacheBlock) -> None:
-        if not victim.prefetched or victim.prefetch_useful:
+        if victim.prefetch_useful:
             return
         metadata = self._pending_l2c_prefetches.pop(victim.block_addr, None)
         if metadata is None or self.l2_prefetch_filter is None:

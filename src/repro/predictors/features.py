@@ -18,10 +18,13 @@ the first-access bit, last-4 load PC history).
 
 The context and the per-feature extractors are the general, reference form
 (:meth:`repro.predictors.perceptron.HashedPerceptron.predict`).  The
-predictors' hot path does not build contexts: :meth:`FeatureHistory.advance`
+predictors' hot path -- FLP/Hermes ``step`` and SLP ``consult_step``, in
+both simulator cores -- does not build contexts: :meth:`FeatureHistory.advance`
 hands out the raw first-access bit and last-PC tuple while observing the
 access, and :func:`repro.predictors.perceptron.table_one_kernel` turns them,
-with the PC and address, into table indices straight-line.
+with the PC and address, into table indices straight-line.  Each
+predictor advances its history once per prediction, in simulation order;
+nothing replays it.
 """
 
 from __future__ import annotations

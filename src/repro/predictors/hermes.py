@@ -41,7 +41,15 @@ class HermesPredictor(OffChipPredictor):
         #: (SLP) can use it as a feature for prefetches triggered by this load.
         self.last_prediction = False
 
-    def predict(self, pc: int, vaddr: int, cycle: int) -> OffChipDecision:
+    def step(
+        self, pc: int, vaddr: int
+    ) -> tuple[OffChipAction, int, list[int]]:
+        """Raw prediction: ``(action, confidence, indices)`` for one load.
+
+        Advances the feature history exactly as :meth:`predict` does; the
+        batch core calls this directly and trains with
+        ``self.perceptron.train(indices, went_offchip, confidence)``.
+        """
         first_access, last_pcs = self.history.advance(pc, vaddr)
         confidence, indices = self._kernel(
             pc, vaddr, first_access, last_pcs, False
@@ -49,9 +57,13 @@ class HermesPredictor(OffChipPredictor):
         predicted_offchip = confidence >= self.activation_threshold
         self.last_prediction = predicted_offchip
         action = OffChipAction.IMMEDIATE if predicted_offchip else OffChipAction.NONE
+        return action, confidence, indices
+
+    def predict(self, pc: int, vaddr: int, cycle: int) -> OffChipDecision:
+        action, confidence, indices = self.step(pc, vaddr)
         return OffChipDecision(
             action=action,
-            predicted_offchip=predicted_offchip,
+            predicted_offchip=self.last_prediction,
             confidence=confidence,
             metadata={"indices": indices, "confidence": confidence},
         )

@@ -11,18 +11,17 @@ correct and confident).
 runs each :class:`~repro.predictors.features.FeatureSpec` extractor over a
 :class:`~repro.predictors.features.FeatureContext` and memoizes the
 ``feature value -> table index`` hash per feature.  It is the reference the
-tests pin.  The per-access paths -- Hermes/FLP ``predict`` on each demand
-load of the object hierarchy, SLP ``consult_step`` on each L1D prefetch
-candidate -- instead call the kernel returned by :func:`table_one_kernel`:
-the Table I features (plus SLP's leveling feature) computed straight-line
-over raw ints, each index memoized on its raw key, so no context object and
-no per-feature call is involved.  Both forms select the same indices and sum
-the same weights.
+tests pin.  The per-access paths -- Hermes/FLP ``step`` on each demand load
+(under ``predict`` in the object hierarchy, called directly by the batch
+core), SLP ``consult_step`` on each L1D prefetch candidate -- instead call
+the kernel returned by :func:`table_one_kernel`: the Table I features (plus
+SLP's leveling feature) computed straight-line over raw ints, each index
+memoized on its raw key, so no context object and no per-feature call is
+involved.  Both forms select the same indices and sum the same weights.
+Every path, scalar or batch, trains through :meth:`HashedPerceptron.train`.
 
 Weight storage is one flat numpy ``int32`` buffer.  Each feature's table is
-a :class:`memoryview` row of it (plain-int reads and writes); the batch
-simulator core reads and writes the same rows, so there is nothing to
-synchronize.
+a :class:`memoryview` row of it (plain-int reads and writes).
 """
 
 from __future__ import annotations

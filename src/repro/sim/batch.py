@@ -9,33 +9,27 @@ traces are columnar.
 
 This module restructures the hot path around trace *chunks*:
 
-1. **Vectorized precompute** -- everything about a chunk that is a pure
-   function of the demand ``(pc, vaddr)`` stream is computed with numpy
-   before any state advances: the off-chip predictor's five feature values,
-   their Jenkins/folded-XOR weight-table indices
-   (:func:`repro.common.hashing.table_index_np`), the page-buffer
-   first-access bits and the last-4-PC window hashes.  This is sound
-   because the FLP/Hermes feature history observes the demand stream only
-   -- it does not depend on cache contents, timing or training state
-   (weights *do*, so weight sums stay in the serialized loop below).
+1. **Vectorized precompute** -- the recognised L1D prefetchers (IPCP,
+   Berti) expose ``begin_batch``, which computes with numpy, before any
+   state advances, the per-chunk columns of their demand ``(pc, vaddr)``
+   stream that do not depend on cache contents or timing.
 
 2. **Fused serialized loop** -- the stateful remainder (core dispatch/ROB
    timing, page translation, the L1D->L2C->LLC->DRAM walk with per-set
-   recency updates, speculative DRAM requests, perceptron weight sums and
-   saturating training) runs in one Python loop with the per-record bodies
-   of ``CoreRunner.step_values``, ``MemoryHierarchy.demand_access``,
-   ``MemoryHierarchy._walk_below_l1d``, ``Cache.lookup``,
-   ``DRAMModel.access`` and ``HashedPerceptron.predict``/``train`` inlined
-   over the precomputed index columns.  Pure counters accumulate in locals
-   and flush once per chunk.  The prefetch machinery is fused too: the
-   recognised L1D prefetchers (IPCP, Berti) expose
-   ``begin_batch``/``step_batch`` kernels -- per-chunk numpy precompute
-   plus a thin order-dependent step -- and the loop drives SPP lookahead
-   walks (``SPPPrefetcher.step``), PPF and SLP filter consults/training
-   (``consult_step``/``train_step``; SLP scores with the raw-int
-   :func:`~repro.predictors.perceptron.table_one_kernel`) and cache fills
-   (via :func:`_make_inline_fill`, a positional ``Cache.fill`` clone)
-   without crossing the per-request object boundary: no request,
+   recency updates and speculative DRAM requests) runs in one Python loop
+   with the per-record bodies of ``CoreRunner.step_values``,
+   ``MemoryHierarchy.demand_access``, ``MemoryHierarchy._walk_below_l1d``,
+   ``Cache.lookup`` and ``DRAMModel.access`` inlined.  Pure counters
+   accumulate in locals and flush once per chunk.  The off-chip predictor
+   is called through its raw ``step`` (FLP/Hermes: feature history,
+   :func:`~repro.predictors.perceptron.table_one_kernel` scoring and the
+   threshold decision, with no decision object) and trained through
+   ``HashedPerceptron.train``.  The prefetch machinery is fused too: the
+   loop drives the IPCP/Berti ``step_batch`` kernels, SPP lookahead walks
+   (``SPPPrefetcher.step``), PPF and SLP filter consults/training
+   (``consult_step``/``train_step``; SLP scores with the same kernel) and
+   cache fills (via :func:`_make_inline_fill`, a positional ``Cache.fill``
+   clone) without crossing the per-request object boundary: no request,
    decision, feature-context or tracking-record objects per candidate, the
    victim block itself goes to the eviction listener, and the
    pending-prefetch map stores the serving level.  The object
@@ -46,7 +40,7 @@ This module restructures the hot path around trace *chunks*:
 3. **Chunk scheduler with scalar fallback** -- chunks only run fused when
    every component is one the fused loop models exactly (stock
    :class:`MemoryHierarchy`/:class:`Cache`, and a Null / Hermes / FLP
-   off-chip predictor over the Table I feature set).
+   off-chip predictor).
    Anything else -- custom subclasses, exotic predictors, and the
    per-instruction multi-core interleave -- drops to the pinned scalar
    reference path; :func:`batch_unsupported_reason` names the offending
@@ -64,10 +58,6 @@ from __future__ import annotations
 import logging
 from typing import Optional
 
-import numpy as np
-
-from repro.common.addresses import PAGE_BITS
-from repro.common.hashing import hash_combine, hash_combine_np, table_index_np
 from repro.common.types import MemLevel, RequestSource
 from repro.core.flp import FirstLevelPerceptron
 from repro.core.slp import SecondLevelPerceptron
@@ -76,7 +66,6 @@ from repro.memory.cache import Cache, CacheBlock
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import tracer as obs_tracer
 from repro.predictors.base import NullOffChipPredictor
-from repro.predictors.features import LEGACY_FEATURE_NAMES
 from repro.predictors.hermes import HermesPredictor
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IPCPPrefetcher
@@ -87,12 +76,8 @@ from repro.traces.trace import KIND_NON_MEM
 _LOG = logging.getLogger("repro.sim.batch")
 
 #: Records per fused chunk.  Large enough to amortize the vectorized
-#: precompute, small enough to keep the index columns cache-resident.
+#: precompute, small enough to keep its columns cache-resident.
 DEFAULT_CHUNK_RECORDS = 8192
-
-_PK_NULL = 0
-_PK_HERMES = 1
-_PK_FLP = 2
 
 
 def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
@@ -112,27 +97,11 @@ def batch_unsupported_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
                 f" ({type(cache).__name__})"
             )
     predictor = hierarchy.offchip_predictor
-    if type(predictor) is NullOffChipPredictor:
-        return None
-    if type(predictor) in (HermesPredictor, FirstLevelPerceptron):
-        names = tuple(spec.name for spec in predictor.perceptron.features)
-        if names != LEGACY_FEATURE_NAMES:
-            return (
-                f"off-chip predictor {type(predictor).__name__}:"
-                " non-standard feature set"
-            )
-        if predictor.history.pc_history_length != 4:
-            return (
-                f"off-chip predictor {type(predictor).__name__}:"
-                f" pc_history_length {predictor.history.pc_history_length}"
-            )
+    if type(predictor) in (
+        NullOffChipPredictor, HermesPredictor, FirstLevelPerceptron
+    ):
         return None
     return f"unmodelled off-chip predictor {type(predictor).__name__}"
-
-
-def batch_supported(hierarchy: MemoryHierarchy) -> bool:
-    """True when ``hierarchy`` can run on the fused batch path."""
-    return batch_unsupported_reason(hierarchy) is None
 
 
 #: Fallback reasons already warned about (once per reason per process; the
@@ -149,80 +118,6 @@ def _note_scalar_fallback(reason: str) -> None:
         )
 
 
-def _precompute_offchip_indices(
-    predictor, pcs: np.ndarray, vaddrs: np.ndarray
-) -> list[list[int]]:
-    """Vectorized per-chunk feature hashing for a Hermes/FLP predictor.
-
-    Replays the predictor's :class:`FeatureHistory` over the chunk's demand
-    stream (advancing the live page buffer and PC history to their
-    end-of-chunk state -- the fused loop consumes the precomputed rows
-    instead of calling ``context()``/``observe()``), and returns one index
-    column per Table I feature, exactly what the scalar
-    ``HashedPerceptron._compute`` would have produced access by access.
-    """
-    history = predictor.history
-    n = len(pcs)
-
-    # First-access bits: exact replay of the page-buffer LRU.
-    page_buffer = history._page_buffer
-    capacity = history.page_buffer_entries
-    move_to_end = page_buffer.move_to_end
-    popitem = page_buffer.popitem
-    first_bits: list[int] = []
-    append_first = first_bits.append
-    for page in (vaddrs >> PAGE_BITS).tolist():
-        if page in page_buffer:
-            append_first(0)
-            move_to_end(page)
-        else:
-            append_first(1)
-            page_buffer[page] = None
-            if len(page_buffer) > capacity:
-                popitem(last=False)
-    first = np.asarray(first_bits, dtype=np.uint64)
-
-    # Last-4-PC window hashes: the context for access i folds the four PCs
-    # observed before it, i.e. a sliding window over (prior history + chunk).
-    prior = list(history._pc_history)
-    len0 = len(prior)
-    window = history.pc_history_length
-    if len0:
-        merged = np.concatenate([np.asarray(prior, dtype=np.int64), pcs])
-    else:
-        merged = pcs
-    pcs_hash = np.empty(n, dtype=np.uint64)
-    lead = max(0, window - len0)
-    for i in range(min(lead, n)):
-        short = merged[max(0, i + len0 - window): i + len0].tolist()
-        pcs_hash[i] = hash_combine(*short) if short else 0
-    if n > lead:
-        base = lead + len0 - window
-        count = n - lead
-        pcs_hash[lead:] = hash_combine_np(
-            *(merged[base + k: base + k + count] for k in range(window))
-        )
-    history._pc_history.extend(pcs.tolist())
-    history._pcs_tuple = None
-
-    # Feature values (Table I) and their table indices.
-    upcs = pcs.astype(np.uint64)
-    uvas = vaddrs.astype(np.uint64)
-    cacheline_offset = (uvas >> np.uint64(6)) & np.uint64(63)
-    values = (
-        upcs ^ (cacheline_offset << np.uint64(2)),
-        upcs ^ ((uvas & np.uint64(63)) << np.uint64(2)),
-        hash_combine_np(upcs, first),
-        hash_combine_np(cacheline_offset, first),
-        pcs_hash,
-    )
-    columns: list[list[int]] = []
-    for value, (_, bits, entries, _, _) in zip(values, predictor.perceptron._plan):
-        indices = table_index_np(value, bits) % np.uint64(entries)
-        columns.append(indices.astype(np.int64).tolist())
-    return columns
-
-
 def _make_inline_fill(cache: Cache):
     """Positional fast-path clone of ``Cache.fill``.
 
@@ -232,7 +127,8 @@ def _make_inline_fill(cache: Cache):
     and prefetch fills; writes dirty blocks via the lookup path, not
     fills).  Identical arithmetic and update order to
     ``Cache.fill`` + ``Cache._evicted``: the eviction listener, if any,
-    gets the victim block itself, so an eviction allocates nothing.
+    gets a prefetched victim block itself, so an eviction allocates
+    nothing.
     """
     sets = cache._sets
     num_sets = cache.num_sets
@@ -268,8 +164,8 @@ def _make_inline_fill(cache: Cache):
                     stats.useful_prefetch_evictions += 1
                 else:
                     stats.useless_prefetch_evictions += 1
-            if listener is not None:
-                listener(victim)
+                if listener is not None:
+                    listener(victim)
         # Positional CacheBlock args in field order: block_addr, valid,
         # dirty, prefetched, prefetch_useful, prefetch_source_level,
         # fill_cycle, ready_cycle.
@@ -314,14 +210,6 @@ def run_core_trace_batched(
 
     pc_col, vaddr_col, kind_col = trace.columns()
     total_records = len(pc_col)
-
-    predictor = hierarchy.offchip_predictor
-    if type(predictor) is NullOffChipPredictor:
-        predictor_kind = _PK_NULL
-    elif type(predictor) is HermesPredictor:
-        predictor_kind = _PK_HERMES
-    else:
-        predictor_kind = _PK_FLP
 
     # ---- immutable-for-the-run bindings ------------------------------
     l1d = hierarchy.l1d
@@ -460,21 +348,16 @@ def run_core_trace_batched(
     else:
         pf_begin = pf_step = None
 
-    if predictor_kind != _PK_NULL:
-        perceptron = predictor.perceptron
-        table_0, table_1, table_2, table_3, table_4 = perceptron._tables
-        limits = perceptron._weight_limits
-        (lo0, hi0), (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4) = limits
-        training_threshold = perceptron.training_threshold
-        last_prediction = bool(predictor.last_prediction)
-    else:
+    # Off-chip prediction goes through the predictor's raw step and its
+    # perceptron's train (FLP/Hermes); the Null predictor is skipped.
+    predictor = hierarchy.offchip_predictor
+    if type(predictor) is NullOffChipPredictor:
+        predictor_step = predictor_train = None
         last_prediction = False
-    if predictor_kind == _PK_HERMES:
-        activation_threshold = predictor.activation_threshold
-    elif predictor_kind == _PK_FLP:
-        tau_high = predictor.tau_high
-        tau_low = predictor.tau_low
-        selective_delay = predictor.selective_delay
+    else:
+        predictor_step = predictor.step
+        predictor_train = predictor.perceptron.train
+        last_prediction = predictor.last_prediction
 
     # ---- core-runner state (carried across chunks) -------------------
     retire_times = runner._retire_times
@@ -501,22 +384,11 @@ def run_core_trace_batched(
         vaddrs = vaddrs_chunk.tolist()
         kinds = kinds_chunk.tolist()
 
-        # Vectorized precompute over this chunk's demand records: the
-        # off-chip feature indices and the L1D prefetcher's pure columns.
-        if predictor_kind != _PK_NULL or pf_begin is not None:
-            demand_mask = kinds_chunk != KIND_COMPUTE
-            demand_pcs = pcs_chunk[demand_mask]
-            demand_vaddrs = vaddrs_chunk[demand_mask]
-        if predictor_kind != _PK_NULL:
-            idx0, idx1, idx2, idx3, idx4 = _precompute_offchip_indices(
-                predictor, demand_pcs, demand_vaddrs
-            )
-            predictions = positive = 0
-            training_events = correct = weight_updates = 0
-            flp_immediate = flp_delayed = flp_negative = 0
+        # Vectorized precompute of the L1D prefetcher's pure columns over
+        # this chunk's demand records.
         if pf_begin is not None:
-            pf_begin(demand_pcs, demand_vaddrs)
-        demand_cursor = 0
+            demand_mask = kinds_chunk != KIND_COMPUTE
+            pf_begin(pcs_chunk[demand_mask], vaddrs_chunk[demand_mask])
 
         # Pure counters accumulate in locals below and flush once per
         # chunk; the delegated calls never touch these specific fields
@@ -559,46 +431,14 @@ def run_core_trace_batched(
                 else:
                     demand_loads += 1
 
-                # -- off-chip prediction (predictor.predict inlined) --
-                if predictor_kind == _PK_NULL:
+                # -- off-chip prediction --
+                if predictor_step is None:
                     action = 0
-                    predicted_offchip = False
                 else:
-                    i0 = idx0[demand_cursor]
-                    i1 = idx1[demand_cursor]
-                    i2 = idx2[demand_cursor]
-                    i3 = idx3[demand_cursor]
-                    i4 = idx4[demand_cursor]
-                    demand_cursor += 1
-                    confidence = (
-                        table_0[i0] + table_1[i1] + table_2[i2]
-                        + table_3[i3] + table_4[i4]
-                    )
-                    predictions += 1
-                    if confidence >= 0:
-                        positive += 1
-                    if predictor_kind == _PK_HERMES:
-                        predicted_offchip = confidence >= activation_threshold
-                        action = 1 if predicted_offchip else 0
-                    elif confidence > tau_high:
-                        action = 1
-                        predicted_offchip = True
-                        flp_immediate += 1
-                    elif confidence >= tau_low:
-                        predicted_offchip = True
-                        if selective_delay:
-                            action = 2
-                            flp_delayed += 1
-                        else:
-                            action = 1
-                            flp_immediate += 1
-                    else:
-                        action = 0
-                        predicted_offchip = False
-                        flp_negative += 1
-                    last_prediction = predicted_offchip
-                if predicted_offchip:
-                    offchip_predictions += 1
+                    action, confidence, indices = predictor_step(pc, vaddr)
+                    last_prediction = action != 0
+                    if last_prediction:
+                        offchip_predictions += 1
 
                 # -- immediate speculative DRAM request --
                 speculative_ready = None
@@ -861,38 +701,8 @@ def run_core_trace_batched(
                             else l1_latency
                         )
 
-                # -- training (predictor.train inlined) --
-                if predictor_kind != _PK_NULL:
-                    training_events += 1
-                    predicted_positive = confidence >= 0
-                    if predicted_positive == went_offchip:
-                        correct += 1
-                    if predicted_positive != went_offchip or (
-                        confidence if confidence >= 0 else -confidence
-                    ) < training_threshold:
-                        if went_offchip:
-                            weight = table_0[i0] + 1
-                            table_0[i0] = weight if weight <= hi0 else hi0
-                            weight = table_1[i1] + 1
-                            table_1[i1] = weight if weight <= hi1 else hi1
-                            weight = table_2[i2] + 1
-                            table_2[i2] = weight if weight <= hi2 else hi2
-                            weight = table_3[i3] + 1
-                            table_3[i3] = weight if weight <= hi3 else hi3
-                            weight = table_4[i4] + 1
-                            table_4[i4] = weight if weight <= hi4 else hi4
-                        else:
-                            weight = table_0[i0] - 1
-                            table_0[i0] = weight if weight >= lo0 else lo0
-                            weight = table_1[i1] - 1
-                            table_1[i1] = weight if weight >= lo1 else lo1
-                            weight = table_2[i2] - 1
-                            table_2[i2] = weight if weight >= lo2 else lo2
-                            weight = table_3[i3] - 1
-                            table_3[i3] = weight if weight >= lo3 else lo3
-                            weight = table_4[i4] - 1
-                            table_4[i4] = weight if weight >= lo4 else lo4
-                        weight_updates += 1
+                if predictor_train is not None:
+                    predictor_train(indices, went_offchip, confidence)
 
                 if kind == 0:
                     latency = effective_latency
@@ -946,18 +756,6 @@ def run_core_trace_batched(
         dram_stats.total_queue_cycles += dram_queue_cycles
         if dram_max_queue > dram_stats.max_queue_cycles:
             dram_stats.max_queue_cycles = dram_max_queue
-        if predictor_kind != _PK_NULL:
-            pstats = predictor.perceptron.stats
-            pstats.predictions += predictions
-            pstats.positive_predictions += positive
-            pstats.training_events += training_events
-            pstats.correct_predictions += correct
-            pstats.weight_updates += weight_updates
-            predictor.last_prediction = last_prediction
-            if predictor_kind == _PK_FLP:
-                predictor.immediate_decisions += flp_immediate
-                predictor.delayed_decisions += flp_delayed
-                predictor.negative_decisions += flp_negative
 
         if next_sample is not None:
             accesses = hstats.demand_loads + hstats.demand_stores
@@ -998,20 +796,16 @@ def run_single_core_batched(
     so sampling never changes metrics.
     """
     chunk = chunk_records if chunk_records else DEFAULT_CHUNK_RECORDS
-
-    def access(pc: int, vaddr: int, cycle: int, is_write: bool):
-        return hierarchy.demand_access(pc, vaddr, cycle, is_write=is_write)
-
     warmup, measured = trace.split(warmup_fraction)
     if len(warmup):
-        warmup_runner = CoreRunner(core_config, access)
+        warmup_runner = CoreRunner(core_config, hierarchy.demand_access)
         run_core_trace_batched(warmup_runner, warmup, hierarchy, chunk)
         hierarchy.reset_stats(include_shared=True)
 
     measured_chunk = chunk
     if sample_hook is not None and sample_interval:
         measured_chunk = max(1024, min(chunk, sample_interval))
-    runner = CoreRunner(core_config, access)
+    runner = CoreRunner(core_config, hierarchy.demand_access)
     run_core_trace_batched(
         runner, measured, hierarchy, measured_chunk,
         sample_hook=sample_hook, sample_interval=sample_interval,

@@ -5,9 +5,9 @@ change: for every supported component combination it must produce results
 **bit-identical** to the record-at-a-time scalar path, and it must silently
 fall back to that path for combinations it does not model.  These tests pin
 both properties across every scheme, every L1D prefetcher, every trace
-family (GAP generator, SPEC-like generator, imported ChampSim fixture), the
-vectorized hashing/perceptron primitives the batch core is built from, and
-the plumbing that routes ``core="batch"`` through configs and the API
+family (GAP generator, SPEC-like generator, imported ChampSim fixture),
+FLP/Hermes threshold and table settings away from the defaults, and the
+plumbing that routes ``core="batch"`` through configs and the API
 facade without perturbing cache keys.
 """
 
@@ -29,27 +29,15 @@ from repro.common.config import (
     system_config_from_dict,
     system_config_to_dict,
 )
-from repro.common.hashing import (
-    fold_xor,
-    fold_xor_np,
-    hash_combine,
-    hash_combine_np,
-    jenkins32,
-    jenkins32_np,
-    table_index,
-    table_index_np,
-)
+from repro.core.flp import FirstLevelPerceptron
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import tracer
+from repro.predictors.hermes import HermesPredictor
 from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.prefetchers.ppf import PerceptronPrefetchFilter
 from repro.prefetchers.spp import SPPPrefetcher
-from repro.sim.batch import (
-    batch_supported,
-    batch_unsupported_reason,
-    run_single_core_batched,
-)
+from repro.sim.batch import batch_unsupported_reason, run_single_core_batched
 from repro.sim.engine import single_core_point
 from repro.sim.multi_core import run_multicore_mix
 from repro.sim.scenarios import SCHEMES, build_hierarchy, build_scenario
@@ -254,7 +242,7 @@ class TestEvictionHeavyEquivalence:
         for core in ("scalar", "batch"):
             system = self._system(core)
             hierarchy = build_hierarchy(scenario, config=system)
-            assert batch_supported(hierarchy)
+            assert batch_unsupported_reason(hierarchy) is None
             results[core] = run_single_core(
                 skewed_trace, scenario, config=system, hierarchy=hierarchy
             )
@@ -290,7 +278,7 @@ class TestTableCollisionStress:
         results = {}
         for core in ("scalar", "batch"):
             hierarchy = self._hierarchy()
-            assert batch_supported(hierarchy)
+            assert batch_unsupported_reason(hierarchy) is None
             results[core] = run_single_core(
                 spec_mcf_trace, scenario, config=_system(core),
                 hierarchy=hierarchy,
@@ -298,22 +286,70 @@ class TestTableCollisionStress:
         _assert_identical(results["scalar"], results["batch"])
 
 
+class TestOffChipPredictorSettings:
+    """The fused loop's FLP/Hermes calls match the scalar core away from
+    the defaults: every threshold band, selective delay on and off, and
+    resized weight tables.  Compares results, weights, perceptron stats,
+    decision counters and the last prediction after the measured phase."""
+
+    @pytest.mark.parametrize(
+        "scheme,make",
+        (
+            ("tlp", lambda: FirstLevelPerceptron(tau_high=4, tau_low=-4)),
+            ("tlp", lambda: FirstLevelPerceptron(
+                tau_high=4, tau_low=-4, selective_delay=False)),
+            ("tlp", lambda: FirstLevelPerceptron(tau_high=30, tau_low=10)),
+            ("tlp", lambda: FirstLevelPerceptron(table_entries=64)),
+            ("flp", lambda: FirstLevelPerceptron(
+                tau_high=0, tau_low=0, table_entries=2048)),
+            ("hermes", lambda: HermesPredictor(activation_threshold=-2)),
+            ("hermes", lambda: HermesPredictor(activation_threshold=12)),
+            ("hermes_ppf", lambda: HermesPredictor(table_entries=64)),
+        ),
+    )
+    def test_bit_identical(self, gap_bfs_trace, scheme, make):
+        scenario = build_scenario(scheme)
+        results, predictors = {}, {}
+        for core in ("scalar", "batch"):
+            hierarchy = build_hierarchy(scenario, config=_system(core))
+            hierarchy.offchip_predictor = predictors[core] = make()
+            assert batch_unsupported_reason(hierarchy) is None
+            results[core] = run_single_core(
+                gap_bfs_trace, scenario, config=_system(core),
+                hierarchy=hierarchy,
+            )
+        _assert_identical(results["scalar"], results["batch"])
+        scalar, batch = predictors["scalar"], predictors["batch"]
+        assert batch.perceptron.stats == scalar.perceptron.stats
+        # bfs mixes on- and off-chip loads, so both signs get predicted.
+        stats = batch.perceptron.stats
+        assert 0 < stats.positive_predictions < stats.predictions
+        assert batch.perceptron._weights.tolist() == (
+            scalar.perceptron._weights.tolist()
+        )
+        assert batch.last_prediction is scalar.last_prediction
+        for name in (
+            "immediate_decisions", "delayed_decisions", "negative_decisions",
+        ):
+            assert getattr(batch, name, None) == getattr(scalar, name, None)
+
+
 class TestFallbacks:
     def test_supported_schemes(self):
         for scheme in ("baseline", "hermes", "tlp", "flp", "ppf"):
             hierarchy = build_hierarchy(build_scenario(scheme))
-            assert batch_supported(hierarchy), scheme
+            assert batch_unsupported_reason(hierarchy) is None, scheme
 
     def test_predictor_subclass_falls_back(self):
         hierarchy = build_hierarchy(build_scenario("delayed_tsp"))
-        assert not batch_supported(hierarchy)
+        assert batch_unsupported_reason(hierarchy) is not None
 
     def test_hierarchy_subclass_falls_back(self):
         class InstrumentedHierarchy(MemoryHierarchy):
             pass
 
         hierarchy = InstrumentedHierarchy(cascade_lake_single_core())
-        assert not batch_supported(hierarchy)
+        assert batch_unsupported_reason(hierarchy) is not None
 
     def test_fallback_reason_names_component(self):
         for scheme in ("baseline", "hermes", "tlp", "ppf"):
@@ -399,38 +435,6 @@ class TestFallbacks:
         assert dataclasses.asdict(results["batch"]) == (
             dataclasses.asdict(results["scalar"])
         )
-
-
-class TestVectorizedHashing:
-    """The numpy hash kernels reproduce the scalar functions bit for bit."""
-
-    def _values(self):
-        rng = np.random.default_rng(7)
-        values = rng.integers(0, 1 << 48, size=256, dtype=np.uint64)
-        values[:4] = (0, 1, (1 << 32) - 1, (1 << 48) - 1)
-        return values
-
-    def test_jenkins32(self):
-        values = self._values()
-        expected = [jenkins32(int(v)) for v in values]
-        assert jenkins32_np(values).tolist() == expected
-
-    @pytest.mark.parametrize("bits", (6, 10, 12))
-    def test_fold_xor(self, bits):
-        values = self._values()
-        expected = [fold_xor(int(v), bits) for v in values]
-        assert fold_xor_np(values, bits).tolist() == expected
-
-    def test_hash_combine(self):
-        a, b = self._values(), self._values()[::-1].copy()
-        expected = [hash_combine(int(x), int(y)) for x, y in zip(a, b)]
-        assert hash_combine_np(a, b).tolist() == expected
-
-    @pytest.mark.parametrize("bits", (7, 12))
-    def test_table_index(self, bits):
-        values = self._values()
-        expected = [table_index(int(v), bits) for v in values]
-        assert table_index_np(values, bits).tolist() == expected
 
 
 class TestSimCoreConfig:

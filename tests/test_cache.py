@@ -84,13 +84,16 @@ class TestPrefetchTracking:
         cache.fill(0x1, prefetched=True)
         cache.lookup(0x1)
         victim = cache.fill(0x2)
-        # The listener gets the victim block itself, as fill returns it.
+        # A prefetched victim goes to the listener itself, as fill returns it.
         assert seen == [victim]
         assert victim.block_addr == 0x1
         assert victim.prefetched and victim.prefetch_useful
-        cache.fill(0x3)
-        assert [block.block_addr for block in seen] == [0x1, 0x2]
-        assert not seen[1].prefetched
+        # A demand-filled victim is counted but not passed on.
+        demand_victim = cache.fill(0x3)
+        assert demand_victim.block_addr == 0x2
+        assert not demand_victim.prefetched
+        assert seen == [victim]
+        assert cache.stats.evictions == 2
 
 
 class TestDirtyAndInvalidate:

@@ -94,6 +94,40 @@ class TestFLP:
         assert 2.5 < flp.storage_kib() < 4.0
 
 
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda: HermesPredictor(),
+        lambda: HermesPredictor(activation_threshold=-3, table_entries=64),
+        lambda: FirstLevelPerceptron(),
+        lambda: FirstLevelPerceptron(tau_high=4, tau_low=-2, table_entries=128),
+        lambda: FirstLevelPerceptron(tau_high=4, tau_low=-2, selective_delay=False),
+    ),
+)
+def test_step_agrees_with_predict(make):
+    """``step`` + ``perceptron.train`` replays ``predict`` + ``train``."""
+    via_predict, via_step = make(), make()
+    for i in range(600):
+        pc = 0x400 + (i % 7) * 4
+        vaddr = 0x10_0000 + ((i * 2654435761) % 4096) * 64 + i % 64
+        outcome = i % 7 < 3 and i % 11 != 0  # PC-correlated, with noise
+        decision = via_predict.predict(pc, vaddr, cycle=i)
+        action, confidence, indices = via_step.step(pc, vaddr)
+        assert action is decision.action
+        assert confidence == decision.confidence
+        assert indices == decision.metadata["indices"]
+        assert via_step.last_prediction is decision.predicted_offchip
+        assert via_predict.last_prediction is decision.predicted_offchip
+        via_predict.train(decision.metadata, outcome)
+        via_step.perceptron.train(indices, outcome, confidence)
+    assert via_step.perceptron.stats == via_predict.perceptron.stats
+    assert via_step.perceptron._weights.tolist() == (
+        via_predict.perceptron._weights.tolist()
+    )
+    for name in ("immediate_decisions", "delayed_decisions", "negative_decisions"):
+        assert getattr(via_step, name, None) == getattr(via_predict, name, None)
+
+
 class TestSLP:
     def make_request(self, vaddr=0x2000, pc=0x400):
         return PrefetchRequest(vaddr=vaddr, trigger_pc=pc, trigger_vaddr=vaddr - 64)

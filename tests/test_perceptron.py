@@ -203,6 +203,19 @@ def test_weights_never_exceed_5_bit_saturation(events):
             assert -16 <= weight <= 15
 
 
+def test_train_pins_weights_at_saturation_bounds():
+    perceptron = HashedPerceptron(legacy_hermes_features(), training_threshold=1000)
+    indices = [1, 2, 3, 4, 5]
+    for _ in range(40):
+        perceptron.train(indices, True, 0)
+    assert [perceptron.weight(f, i) for f, i in enumerate(indices)] == [15] * 5
+    for _ in range(80):
+        perceptron.train(indices, False, 0)
+    assert [perceptron.weight(f, i) for f, i in enumerate(indices)] == [-16] * 5
+    assert perceptron.stats.weight_updates == 120
+    assert perceptron.stats.training_events == 120
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**40), st.integers(min_value=0, max_value=2**40))
 def test_prediction_confidence_bounded_by_feature_count(pc, address):
